@@ -6,13 +6,7 @@ neighbor-influenced variation, plus instance parsers, exact small-instance
 oracles, GA/PSO baselines, and a seeded experiment harness.
 """
 
-from .baselines import (
-    BaselineConfig,
-    GeneticAlgorithmOptimizer,
-    ParticleSwarmOptimizer,
-    run_ga,
-    run_pso,
-)
+from .baselines import GeneticAlgorithmOptimizer, ParticleSwarmOptimizer
 from .continuous import ContinuousGhosaOptimizer
 from .engine import Agent, GhosaOptimizer, PopulationState, optimize, replace_worst
 from .harness import (
@@ -32,12 +26,9 @@ from .lbniv import (
 )
 from .operators import (
     BaitingCase,
-    OperatorConfig,
     attracting_prey_swarms,
     baiting,
     change_of_position,
-    secondary_fitness_linkage,
-    secondary_fitness_segments,
 )
 from .problems import (
     BenchmarkFunction,
@@ -63,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Agent",
     "BaitingCase",
-    "BaselineConfig",
     "BenchmarkFunction",
     "ContinuousAgent",
     "ContinuousGhosaOptimizer",
@@ -73,7 +63,6 @@ __all__ = [
     "KnapsackInstance",
     "KnapsackProblem",
     "LbnivParams",
-    "OperatorConfig",
     "ParticleSwarmOptimizer",
     "PopulationState",
     "QapInstance",
@@ -99,10 +88,6 @@ __all__ = [
     "replace_worst",
     "road_fitness",
     "run_experiment",
-    "run_ga",
-    "run_pso",
-    "secondary_fitness_linkage",
-    "secondary_fitness_segments",
     "tsp_tour_length",
     "update_d",
     "update_epsilon",

@@ -62,6 +62,30 @@ def check_positive(value, name: str, *, strict: bool = True) -> float:
     return value
 
 
+def check_case_probabilities(p_miss, p_catch, p_false) -> np.ndarray:
+    """The three baiting-case weights as an array; non-negative, summing to 1."""
+    case_p = np.array([p_miss, p_catch, p_false], dtype=float)
+    if abs(case_p.sum() - 1.0) > 1e-9 or np.any(case_p < 0):
+        raise ConfigError(
+            f"case probabilities must be non-negative and sum to 1, got {case_p.tolist()}"
+        )
+    return case_p
+
+
+def check_replace_fraction(value) -> float:
+    """Percentage of worst agents re-randomized per iteration, in [0, 100)."""
+    if not 0 <= value < 100:
+        raise ConfigError(f"replace_fraction must be in [0, 100), got {value}")
+    return value
+
+
+def check_window_fraction(value) -> float:
+    """Fraction of the string scanned by change-of-position, in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"window_fraction must be in (0, 1], got {value}")
+    return value
+
+
 def check_int_at_least(value, minimum: int, name: str) -> int:
     if int(value) != value:
         raise ConfigError(f"{name} must be an integer, got {value!r}")

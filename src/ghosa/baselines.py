@@ -8,8 +8,6 @@ one elite.  Positions always stay inside the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .base import (
@@ -18,35 +16,6 @@ from .base import (
     check_probability,
     check_random_state,
 )
-from .errors import ConfigError
-
-
-@dataclass
-class BaselineConfig:
-    """Shared baseline settings; algorithm-specific fields are optional."""
-
-    algorithm: str = "PSO"
-    population_size: int = 50
-    iterations: int = 25000
-    # GA
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None  # default 1/D
-    mutation_scale: float = 0.1
-    tournament_size: int = 2
-    # PSO
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    velocity_clamp: float = 0.5
-
-    def __post_init__(self):
-        if self.algorithm not in ("GA", "PSO"):
-            raise ConfigError(f"algorithm must be GA or PSO, got {self.algorithm!r}")
-        check_int_at_least(self.population_size, 1, "population_size")
-        check_int_at_least(self.iterations, 1, "iterations")
-        check_probability(self.crossover_rate, "crossover_rate")
-        if self.mutation_rate is not None:
-            check_probability(self.mutation_rate, "mutation_rate")
 
 
 class ParticleSwarmOptimizer(ParamMixin):
@@ -150,6 +119,9 @@ class GeneticAlgorithmOptimizer(ParamMixin):
         check_int_at_least(self.population_size, 2, "population_size")
         check_int_at_least(self.iterations, 1, "iterations")
         check_probability(self.crossover_rate, "crossover_rate")
+        if self.mutation_rate is not None:
+            check_probability(self.mutation_rate, "mutation_rate")
+        check_int_at_least(self.tournament_size, 1, "tournament_size")
         rng = check_random_state(self.seed)
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         span = hi - lo
@@ -211,41 +183,3 @@ class GeneticAlgorithmOptimizer(ParamMixin):
         self.n_iterations_ = len(trace)
         self.stopped_early_ = stopped_early
         return self
-
-
-def _config_to_params(cfg: BaselineConfig | None, algorithm: str, seed) -> dict:
-    cfg = cfg or BaselineConfig(algorithm=algorithm)
-    common = {
-        "population_size": cfg.population_size,
-        "iterations": cfg.iterations,
-        "seed": seed,
-    }
-    if algorithm == "PSO":
-        common.update(
-            inertia=cfg.inertia,
-            cognitive=cfg.cognitive,
-            social=cfg.social,
-            velocity_clamp=cfg.velocity_clamp,
-        )
-    else:
-        common.update(
-            crossover_rate=cfg.crossover_rate,
-            mutation_rate=cfg.mutation_rate,
-            mutation_scale=cfg.mutation_scale,
-            tournament_size=cfg.tournament_size,
-        )
-    return common
-
-
-def run_pso(problem, cfg: BaselineConfig | None = None, seed=None, target=None):
-    """(best value, trace) of one seeded PSO run."""
-    opt = ParticleSwarmOptimizer(target=target, **_config_to_params(cfg, "PSO", seed))
-    opt.fit(problem)
-    return opt.best_fitness_, opt.trace_
-
-
-def run_ga(problem, cfg: BaselineConfig | None = None, seed=None, target=None):
-    """(best value, trace) of one seeded GA run."""
-    opt = GeneticAlgorithmOptimizer(target=target, **_config_to_params(cfg, "GA", seed))
-    opt.fit(problem)
-    return opt.best_fitness_, opt.trace_

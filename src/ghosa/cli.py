@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 instance/parse error,
 
 from __future__ import annotations
 
+import json
 import sys
 
 import click
@@ -43,6 +44,19 @@ def _problem_options(fn):
     return fn
 
 
+def _parse_params(pairs) -> dict:
+    params = {}
+    for pair in pairs:
+        key, sep, text = pair.partition("=")
+        if not sep or not key:
+            raise ConfigError(f"--param expects KEY=VALUE, got {pair!r}")
+        try:
+            params[key] = json.loads(text)
+        except json.JSONDecodeError:
+            params[key] = text
+    return params
+
+
 @main.command()
 @_problem_options
 @click.option("--algo", default="GHOSA", type=click.Choice(["GHOSA", "GA", "PSO"]))
@@ -50,8 +64,6 @@ def _problem_options(fn):
 @click.option("--pop", default=50, show_default=True, help="Population size.")
 @click.option("--runs", default=10, show_default=True, help="Independent seeded runs.")
 @click.option("--seed", default=0, show_default=True, help="Base seed; run i uses seed+i.")
-@click.option("--replace-frac", default=10.0, show_default=True,
-              help="Percent of worst agents re-randomized each iteration.")
 @click.option("--threshold-policy", default="sweep", show_default=True,
               help="Knapsack decode policy: sweep, random, or fixed:K.")
 @click.option("--metric-override", default=None,
@@ -60,13 +72,14 @@ def _problem_options(fn):
               help="Benchmark dimension, or 1-based instance index in knapsack bundles.")
 @click.option("--target", default=None, type=float,
               help="Stop a run once the global best reaches this fitness.")
-@click.option("--swarm-rate", default=0.2, show_default=True,
-              help="Per-iteration probability of the rotation operator.")
+@click.option("--param", "params", multiple=True, metavar="KEY=VALUE",
+              help="Optimizer parameter (repeatable), e.g. swarm_rate=0.5. "
+                   "VALUE is read as JSON, else kept as a string.")
 @click.option("--out", default=None, help="Report stem; writes <out>.csv/.json + traces.")
 @click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]))
 @click.option("--workers", default=1, show_default=True, help="Parallel run workers.")
-def run(problem, instance, algo, iters, pop, runs, seed, replace_frac,
-        threshold_policy, metric_override, dim, target, swarm_rate, out, fmt, workers):
+def run(problem, instance, algo, iters, pop, runs, seed,
+        threshold_policy, metric_override, dim, target, params, out, fmt, workers):
     """Run repeated seeded optimizations and report aggregate statistics."""
     cfg = ExperimentConfig(
         problem=problem,
@@ -76,10 +89,9 @@ def run(problem, instance, algo, iters, pop, runs, seed, replace_frac,
         runs=runs,
         iterations=iters,
         population=pop,
-        replace_fraction=replace_frac,
         seed_base=seed,
         target=target,
-        swarm_rate=swarm_rate,
+        params=_parse_params(params),
         threshold_policy=threshold_policy,
         metric_override=metric_override,
         out=out,

@@ -14,15 +14,16 @@ import numpy as np
 
 from .base import (
     ParamMixin,
+    check_case_probabilities,
     check_int_at_least,
     check_probability,
     check_random_state,
+    check_replace_fraction,
+    check_window_fraction,
 )
-from .errors import ConfigError
 from .lbniv import (
     FRONT,
     REAR,
-    ContinuousAgent,
     LbnivParams,
     update_d_batch,
     update_epsilon_batch,
@@ -125,12 +126,10 @@ class ContinuousGhosaOptimizer(ParamMixin):
         check_int_at_least(self.population_size, 1, "population_size")
         check_int_at_least(self.iterations, 1, "iterations")
         check_probability(self.swarm_rate, "swarm_rate")
-        params = LbnivParams(k=self.k, bias=self.bias, eps0=self.eps0)
-        case_p = np.array([self.p_miss, self.p_catch, self.p_false])
-        if abs(case_p.sum() - 1.0) > 1e-9 or np.any(case_p < 0):
-            raise ConfigError("case probabilities must be non-negative and sum to 1")
-        if not 0 <= self.replace_fraction < 100:
-            raise ConfigError("replace_fraction must be in [0, 100)")
+        LbnivParams(k=self.k, bias=self.bias, eps0=self.eps0)  # checks k and eps0
+        case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
+        check_window_fraction(self.window_fraction)
+        check_replace_fraction(self.replace_fraction)
 
         rng = check_random_state(self.seed)
         dim = problem.dim
@@ -236,13 +235,9 @@ class ContinuousGhosaOptimizer(ParamMixin):
 
         self.best_x_ = best_x
         self.best_fitness_ = best_f
-        self.best_agent_ = ContinuousAgent(
-            best_x.copy(), fitness=best_f, fitness_prev=best_f
-        )
         self.trace_ = np.asarray(trace)
         self.n_iterations_ = len(trace)
         self.stopped_early_ = stopped_early
         self.population_x_ = x
         self.population_fitness_ = fitness
-        self.lbniv_params_ = params
         return self

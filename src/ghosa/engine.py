@@ -15,14 +15,16 @@ import numpy as np
 
 from .base import (
     ParamMixin,
+    check_case_probabilities,
     check_int_at_least,
     check_probability,
     check_random_state,
+    check_replace_fraction,
+    check_window_fraction,
 )
 from .errors import ConfigError
 from .operators import (
     BaitingCase,
-    OperatorConfig,
     attracting_prey_swarms,
     baiting,
     change_of_position,
@@ -36,14 +38,13 @@ _BASE_PLACEMENT_COST = SequenceProblem.placement_cost
 
 @dataclass
 class Agent:
-    """One candidate: event string plus primary and secondary fitness."""
+    """One candidate: event string plus its fitness."""
 
     sequence: np.ndarray
     fitness: float
-    secondary: float = 0.0
 
     def copy(self) -> "Agent":
-        return Agent(self.sequence.copy(), self.fitness, self.secondary)
+        return Agent(self.sequence.copy(), self.fitness)
 
 
 @dataclass
@@ -55,14 +56,6 @@ class PopulationState:
     global_best: Agent
     iteration: int = 0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
-    seed: int | None = None
-
-    @property
-    def agents(self) -> list[Agent]:
-        return [
-            Agent(seq.copy(), float(fit))
-            for seq, fit in zip(self.sequences, self.fitness)
-        ]
 
 
 def replace_worst(state: PopulationState, fraction: float, problem) -> PopulationState:
@@ -71,8 +64,7 @@ def replace_worst(state: PopulationState, fraction: float, problem) -> Populatio
     The recorded global best is untouched; fresh agents are evaluated
     immediately so the state stays consistent.
     """
-    if not 0 <= fraction < 100:
-        raise ConfigError(f"replace fraction must be in [0, 100), got {fraction}")
+    check_replace_fraction(fraction)
     n_agents = len(state.sequences)
     count = int(fraction * n_agents // 100)
     if count == 0:
@@ -111,7 +103,6 @@ class GhosaOptimizer(ParamMixin):
         window_fraction: float = 0.25,
         swarm_rate: float = 0.2,
         max_shift: int | None = None,
-        secondary_method: str = "linkage",
         target: float | None = None,
         seed: int | None = None,
     ):
@@ -124,29 +115,18 @@ class GhosaOptimizer(ParamMixin):
         self.window_fraction = window_fraction
         self.swarm_rate = swarm_rate
         self.max_shift = max_shift
-        self.secondary_method = secondary_method
         self.target = target
         self.seed = seed
-
-    def _operator_config(self) -> OperatorConfig:
-        return OperatorConfig(
-            p_miss=self.p_miss,
-            p_catch=self.p_catch,
-            p_false=self.p_false,
-            local_window_frac=self.window_fraction,
-            max_shift=self.max_shift,
-            secondary_method=self.secondary_method,
-        )
 
     def fit(self, problem) -> "GhosaOptimizer":
         check_int_at_least(self.population_size, 1, "population_size")
         check_int_at_least(self.iterations, 1, "iterations")
         check_probability(self.swarm_rate, "swarm_rate")
-        config = self._operator_config()
-        if not 0 <= self.replace_fraction < 100:
-            raise ConfigError(
-                f"replace_fraction must be in [0, 100), got {self.replace_fraction}"
-            )
+        case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
+        check_window_fraction(self.window_fraction)
+        if self.max_shift is not None and self.max_shift < 1:
+            raise ConfigError("max_shift must be >= 1 when set")
+        check_replace_fraction(self.replace_fraction)
 
         rng = check_random_state(self.seed)
         n = problem.dimension
@@ -161,7 +141,7 @@ class GhosaOptimizer(ParamMixin):
 
         best_i = int(np.argmin(sign * fitness))
         gbest = Agent(sequences[best_i].copy(), float(fitness[best_i]))
-        state = PopulationState(sequences, fitness, gbest, 0, rng, self.seed)
+        state = PopulationState(sequences, fitness, gbest, 0, rng)
 
         track_components = (
             type(problem).component_values is not _BASE_COMPONENT_VALUES
@@ -171,7 +151,6 @@ class GhosaOptimizer(ParamMixin):
             problem.component_values(gbest.sequence) if track_components else None
         )
 
-        case_p = config.case_probabilities()
         bait_counts = np.zeros(n)
         full_window = n <= 20 or self.window_fraction >= 1.0
         window_len = n if full_window else max(1, int(round(self.window_fraction * n)))

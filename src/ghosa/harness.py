@@ -14,7 +14,8 @@ import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,9 @@ CSV_COLUMNS = ("name", "dim", "optimum", "mean", "sd", "best", "worst", "error")
 
 PROBLEM_KINDS = ("tsp", "qap", "knapsack", "roadnet", "benchmark")
 ALGORITHMS = ("GHOSA", "GA", "PSO")
+BASELINES = {"GA": GeneticAlgorithmOptimizer, "PSO": ParticleSwarmOptimizer}
+#: parameters every optimizer takes; the harness sets them from the experiment
+SHARED_PARAMS = ("population_size", "iterations", "target", "seed")
 
 
 @dataclass
@@ -78,7 +82,12 @@ def aggregate_stats(per_run_bests, best_known=None, sense: str = "min") -> RunSt
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    ``population``, ``iterations`` and ``target`` are the budget every
+    optimizer takes.  ``params`` holds the chosen optimizer's remaining
+    constructor arguments; the optimizer's own defaults fill in the rest.
+    """
 
     problem: str
     instance: str | None = None
@@ -87,31 +96,10 @@ class ExperimentConfig:
     runs: int = 10
     iterations: int = 25000
     population: int = 50
-    replace_fraction: float = 10.0
     seed_base: int = 0
     target: float | None = None
     workers: int = 1
-    # operator knobs
-    p_miss: float = 1.0 / 3.0
-    p_catch: float = 1.0 / 3.0
-    p_false: float = 1.0 / 3.0
-    window_fraction: float = 0.25
-    swarm_rate: float = 0.2
-    max_shift: int | None = None
-    secondary_method: str = "linkage"
-    # continuous variation
-    eps0: float = 0.2
-    k: float = 2.0
-    bias: float = 0.001
-    # baselines
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    velocity_clamp: float = 0.5
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None
-    mutation_scale: float = 0.1
-    tournament_size: int = 2
+    params: dict = field(default_factory=dict)
     # problem options
     threshold_policy: str = "sweep"
     metric_override: str | None = None
@@ -127,18 +115,16 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.population < 1:
-            raise ConfigError("population must be >= 1")
-        if not 0 <= self.replace_fraction < 100:
-            raise ConfigError("replace_fraction must be in [0, 100)")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if self.algorithm in ("GA", "PSO") and self.problem != "benchmark":
             raise ConfigError(f"{self.algorithm} baseline only runs on benchmark problems")
+        shared = sorted(set(self.params) & set(SHARED_PARAMS))
+        if shared:
+            raise ConfigError(f"params {shared} are set by the experiment's own fields")
+        _make_optimizer(self, None)  # rejects params the optimizer does not take
 
     def seeds(self) -> list[int]:
         return [self.seed_base + i for i in range(self.runs)]
@@ -148,8 +134,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigError(
+                f"unknown experiment config keys {unknown}; "
+                "optimizer settings belong in 'params'"
+            )
+        return cls(**data)
 
 
 def resolve_instance_path(path_str: str) -> Path:
@@ -199,49 +190,37 @@ def build_problem(cfg: ExperimentConfig):
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
-def _make_optimizer(cfg: ExperimentConfig, seed: int):
-    common = dict(
+def _make_optimizer(cfg: ExperimentConfig, seed: int | None):
+    if cfg.algorithm == "GHOSA":
+        cls = ContinuousGhosaOptimizer if cfg.problem == "benchmark" else GhosaOptimizer
+    else:
+        cls = BASELINES[cfg.algorithm]
+    return cls(
         population_size=cfg.population,
         iterations=cfg.iterations,
         target=cfg.target,
         seed=seed,
-    )
-    if cfg.algorithm == "PSO":
-        return ParticleSwarmOptimizer(
-            inertia=cfg.inertia,
-            cognitive=cfg.cognitive,
-            social=cfg.social,
-            velocity_clamp=cfg.velocity_clamp,
-            **common,
-        )
-    if cfg.algorithm == "GA":
-        return GeneticAlgorithmOptimizer(
-            crossover_rate=cfg.crossover_rate,
-            mutation_rate=cfg.mutation_rate,
-            mutation_scale=cfg.mutation_scale,
-            tournament_size=cfg.tournament_size,
-            **common,
-        )
-    shared = dict(
-        replace_fraction=cfg.replace_fraction,
-        p_miss=cfg.p_miss,
-        p_catch=cfg.p_catch,
-        p_false=cfg.p_false,
-        swarm_rate=cfg.swarm_rate,
-        window_fraction=cfg.window_fraction,
-        **common,
-    )
-    if cfg.problem == "benchmark":
-        return ContinuousGhosaOptimizer(
-            eps0=cfg.eps0, k=cfg.k, bias=cfg.bias, **shared
-        )
-    return GhosaOptimizer(
-        max_shift=cfg.max_shift, secondary_method=cfg.secondary_method, **shared
-    )
+    ).set_params(**cfg.params)
 
 
 class RunFailure(GhosaError):
     """A seeded run raised; the message carries the run index and seed."""
+
+
+def _collect_runs(seeds: list[int], outcomes) -> list[dict]:
+    """Call each run's outcome in order; a failure names its run index and seed.
+
+    A bad optimizer setting stays a ``ConfigError``; anything else becomes a
+    ``RunFailure``.
+    """
+    runs = []
+    for index, (seed, outcome) in enumerate(zip(seeds, outcomes)):
+        try:
+            runs.append(outcome())
+        except Exception as exc:
+            kind = ConfigError if isinstance(exc, ConfigError) else RunFailure
+            raise kind(f"run {index} (seed {seed}) failed: {exc}") from exc
+    return runs
 
 
 def _single_run(cfg: ExperimentConfig, problem, seed: int) -> dict:
@@ -264,24 +243,21 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
     """Execute all seeded runs, aggregate, and (optionally) export reports."""
     problem = build_problem(cfg)
     seeds = cfg.seeds()
-    try:
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                runs = list(
-                    pool.map(_single_run, [cfg] * len(seeds), [problem] * len(seeds), seeds)
-                )
-        else:
-            runs = []
-            for index, seed in enumerate(seeds):
-                try:
-                    runs.append(_single_run(cfg, problem, seed))
-                except Exception as exc:
-                    raise RunFailure(f"run {index} (seed {seed}) failed: {exc}") from exc
-    except RunFailure:
-        raise
-    except Exception as exc:
-        raise RunFailure(f"experiment failed: {exc}") from exc
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(_single_run, cfg, problem, seed) for seed in seeds]
+            runs = _collect_runs(seeds, [future.result for future in futures])
+    else:
+        runs = _collect_runs(
+            seeds, [partial(_single_run, cfg, problem, seed) for seed in seeds]
+        )
 
+    # every optimizer parameter the runs used, so replay needs no defaults
+    params = {
+        name: value
+        for name, value in _make_optimizer(cfg, None).get_params().items()
+        if name not in SHARED_PARAMS
+    }
     sense = getattr(problem, "sense", "min")
     stats = aggregate_stats(
         [r["best_fitness"] for r in runs],
@@ -290,7 +266,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
     )
     report = {
         "problem": problem.describe(),
-        "config": cfg.to_dict(),
+        "config": {**cfg.to_dict(), "params": params},
         "seeds": seeds,
         "runs": [
             {k: v for k, v in r.items() if k != "trace" and k != "components"}

@@ -32,14 +32,11 @@ class LbnivParams:
     k: float = 2.0
     bias: float = 0.001
     eps0: float = 0.2
-    bounds: np.ndarray | None = None
 
     def __post_init__(self):
         if self.k <= 1.0:
             raise ConfigError(f"k must be > 1, got {self.k}")
         check_positive(self.eps0, "eps0")
-        if self.bounds is not None:
-            self.bounds = check_bounds_array(self.bounds)
 
 
 @dataclass

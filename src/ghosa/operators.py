@@ -4,14 +4,12 @@ A solution is an ordered string of discrete events (1..n for permutation
 encodings, node ids for path encodings).  The three baiting outcomes insert,
 swap, or displace a single event; change-of-position is a windowed local
 search for the best application slot; attracting-prey-swarms cyclically
-rotates a segment under a fixed slot.  Secondary fitness scores partial
-linkage of a string independently of the primary objective.
+rotates a segment under a fixed slot.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,49 +26,6 @@ class BaitingCase(enum.Enum):
     MISS_CATCH = "miss_catch"
     CATCH = "catch"
     FALSE_CATCH = "false_catch"
-
-
-@dataclass
-class OperatorConfig:
-    """Tunable operator behavior.
-
-    ``p_miss``/``p_catch``/``p_false`` weight the three baiting outcomes and
-    must sum to 1.  ``local_window_frac`` bounds the fraction of the string
-    scanned by change-of-position on long strings.  ``max_shift`` caps the
-    rotation amount (None lets any 1..len-1 shift through).
-    """
-
-    p_miss: float = 1.0 / 3.0
-    p_catch: float = 1.0 / 3.0
-    p_false: float = 1.0 / 3.0
-    local_window_frac: float = 0.25
-    max_shift: int | None = None
-    secondary_method: str = "linkage"
-
-    def __post_init__(self):
-        total = self.p_miss + self.p_catch + self.p_false
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"case probabilities must sum to 1, got {total}")
-        for name in ("p_miss", "p_catch", "p_false"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if not 0.0 < self.local_window_frac <= 1.0:
-            raise ConfigError(
-                f"local_window_frac must be in (0, 1], got {self.local_window_frac}"
-            )
-        if self.max_shift is not None and self.max_shift < 1:
-            raise ConfigError("max_shift must be >= 1 when set")
-        if self.secondary_method not in ("linkage", "segments"):
-            raise ConfigError(
-                f"secondary_method must be 'linkage' or 'segments', "
-                f"got {self.secondary_method!r}"
-            )
-
-    def case_probabilities(self) -> np.ndarray:
-        return np.array([self.p_miss, self.p_catch, self.p_false])
-
-
-_CASE_ORDER = (BaitingCase.MISS_CATCH, BaitingCase.CATCH, BaitingCase.FALSE_CATCH)
 
 
 def baiting(
@@ -189,59 +144,3 @@ def attracting_prey_swarms(
         )
     seq[start:stop] = np.roll(seq[start:stop], shift)
     return seq
-
-
-def secondary_fitness_linkage(sequence, linked, *, cyclic: bool = False) -> float:
-    """Average per-node linkage score: 0 isolated, 1 one side, 2 both sides.
-
-    Returns a value in [0, 2]; 2 means every node is linked on both sides
-    (only possible on cyclic strings or with wrap-around linkage).
-    """
-    seq = list(sequence)
-    n = len(seq)
-    if n == 0:
-        raise EmptyWindow("secondary fitness of an empty string")
-    if n == 1:
-        return 0.0
-    left_ok = [False] * n
-    right_ok = [False] * n
-    for i in range(n - 1):
-        if linked(seq[i], seq[i + 1]):
-            right_ok[i] = True
-            left_ok[i + 1] = True
-    if cyclic and linked(seq[-1], seq[0]):
-        right_ok[-1] = True
-        left_ok[0] = True
-    total = sum(int(l) + int(r) for l, r in zip(left_ok, right_ok))
-    return total / n
-
-
-def secondary_fitness_segments(sequence, linked, *, cyclic: bool = False) -> int:
-    """Count of maximal linked runs in the string; 1 iff fully linked."""
-    seq = list(sequence)
-    n = len(seq)
-    if n == 0:
-        raise EmptyWindow("secondary fitness of an empty string")
-    if n == 1:
-        return 1
-    segments = 1
-    for i in range(n - 1):
-        if not linked(seq[i], seq[i + 1]):
-            segments += 1
-    if cyclic and segments > 1 and linked(seq[-1], seq[0]):
-        segments -= 1
-    return segments
-
-
-def draw_case(rng: np.random.Generator, config: OperatorConfig) -> BaitingCase:
-    return _CASE_ORDER[rng.choice(3, p=config.case_probabilities())]
-
-
-def window_for(n: int, frac: float, rng: np.random.Generator) -> range:
-    """Scan window: whole string for short strings, a random contiguous
-    fraction for long ones."""
-    if n <= 20 or frac >= 1.0:
-        return range(n)
-    length = max(1, int(round(frac * n)))
-    start = int(rng.integers(0, n - length + 1))
-    return range(start, start + length)

@@ -38,10 +38,6 @@ class SequenceProblem:
         """Local heuristic for change-of-position; None skips the refinement."""
         return None
 
-    def linked(self, a: int, b: int) -> bool | None:
-        """Adjacency predicate for secondary fitness; None if not meaningful."""
-        return None
-
     def component_values(self, sequence) -> dict[str, float] | None:
         """Extra per-objective values recorded alongside the trace."""
         return None

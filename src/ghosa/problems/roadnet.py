@@ -177,6 +177,3 @@ class RoadNetworkProblem(SequenceProblem):
             return None
         f1, f2, f = road_fitness(self.network, path)
         return {"total": f, "travel": f1, "waiting": f2}
-
-    def linked(self, a: int, b: int) -> bool:
-        return b in self._adj.get(a, ())

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from ghosa import (
-    BaselineConfig,
+    ExperimentConfig,
     GeneticAlgorithmOptimizer,
     ParticleSwarmOptimizer,
     benchmark_function,
-    run_ga,
-    run_pso,
 )
 from ghosa.errors import ConfigError
 
@@ -28,15 +26,17 @@ class TestPso:
         assert np.all(opt.trace_ == 3.25)
 
     def test_sphere_convergence(self):
-        best, trace = run_pso(benchmark_function("f1", dim=5), seed=2, target=1e-3)
-        assert best <= 1e-3
-        assert np.all(np.diff(trace) <= 0)
+        opt = ParticleSwarmOptimizer(seed=2, target=1e-3).fit(
+            benchmark_function("f1", dim=5)
+        )
+        assert opt.best_fitness_ <= 1e-3
+        assert np.all(np.diff(opt.trace_) <= 0)
 
     def test_sphere_ten_dim_order_of_magnitude_band(self):
         # published comparisons report bests in the 1e-2 range here; demand
         # the same order of magnitude, not an exact mean
-        best, _ = run_pso(benchmark_function("f1"), seed=0, target=0.05)
-        assert best <= 0.05
+        opt = ParticleSwarmOptimizer(seed=0, target=0.05).fit(benchmark_function("f1"))
+        assert opt.best_fitness_ <= 0.05
 
     def test_bounds_respected(self):
         f = benchmark_function("f7")
@@ -61,9 +61,11 @@ class TestGa:
         assert np.all(np.diff(opt.trace_) == 0.0)
 
     def test_sphere_convergence(self):
-        best, trace = run_ga(benchmark_function("f1", dim=5), seed=2, target=1e-2)
-        assert best <= 1e-2
-        assert np.all(np.diff(trace) <= 0)
+        opt = GeneticAlgorithmOptimizer(seed=2, target=1e-2).fit(
+            benchmark_function("f1", dim=5)
+        )
+        assert opt.best_fitness_ <= 1e-2
+        assert np.all(np.diff(opt.trace_) <= 0)
 
     def test_camel_reaches_basin(self):
         f = benchmark_function("f6")
@@ -85,15 +87,31 @@ class TestGa:
         assert np.array_equal(a.trace_, b.trace_)
 
 
-class TestBaselineConfig:
+class TestBaselineValidation:
+    """Baseline settings are checked in ``fit``; the harness picks the class."""
+
     def test_defaults_valid(self):
-        cfg = BaselineConfig()
-        assert cfg.algorithm == "PSO"
+        f = benchmark_function("f1", dim=2)
+        for cls in (ParticleSwarmOptimizer, GeneticAlgorithmOptimizer):
+            cls(iterations=2, seed=0).fit(f)
+        assert ExperimentConfig(problem="benchmark", algorithm="PSO").params == {}
 
     def test_bad_algorithm(self):
         with pytest.raises(ConfigError):
-            BaselineConfig(algorithm="ACO")
+            ExperimentConfig(problem="benchmark", algorithm="ACO")
 
     def test_rates_validated(self):
+        f = benchmark_function("f1", dim=2)
         with pytest.raises(ConfigError):
-            BaselineConfig(crossover_rate=1.5)
+            GeneticAlgorithmOptimizer(crossover_rate=1.5, iterations=1).fit(f)
+
+    @pytest.mark.parametrize("rate", [1.5, -2.0])
+    def test_mutation_rate_outside_unit_interval_rejected(self, rate):
+        f = benchmark_function("f1", dim=2)
+        with pytest.raises(ConfigError):
+            GeneticAlgorithmOptimizer(mutation_rate=rate, iterations=1).fit(f)
+
+    def test_tournament_size_below_one_rejected(self):
+        f = benchmark_function("f1", dim=2)
+        with pytest.raises(ConfigError):
+            GeneticAlgorithmOptimizer(tournament_size=0, iterations=1).fit(f)

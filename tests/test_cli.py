@@ -68,6 +68,45 @@ def test_config_error_exit_code(capsys):
     assert code == 1
 
 
+def test_param_the_algorithm_lacks_exits_one(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "benchmark", "--instance", "f6", "--algo", "PSO",
+        "--runs", "1", "--iters", "5", "--param", "swarm_rate=0.5",
+    )
+    assert code == 1
+    assert "swarm_rate" in err
+
+
+def test_malformed_param_exits_one(capsys):
+    code, _, _ = run_cli(
+        capsys, "run", "--problem", "benchmark", "--instance", "f6",
+        "--runs", "1", "--iters", "5", "--param", "inertia",
+    )
+    assert code == 1
+
+
+def test_bad_param_value_exits_one(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "benchmark", "--instance", "f6", "--algo", "GA",
+        "--runs", "1", "--iters", "5", "--param", "tournament_size=0",
+    )
+    assert code == 1
+    assert "run 0 (seed 0)" in err
+
+
+def test_param_reaches_optimizer_and_report(capsys, tmp_path):
+    out_stem = tmp_path / "pso"
+    code, _, _ = run_cli(
+        capsys, "run", "--problem", "benchmark", "--instance", "f6", "--algo", "PSO",
+        "--runs", "1", "--iters", "20", "--pop", "8", "--param", "inertia=0.6",
+        "--param", "velocity_clamp=0.25", "--out", str(out_stem), "--format", "json",
+    )
+    assert code == 0
+    params = json.loads((tmp_path / "pso.json").read_text())["config"]["params"]
+    assert params == {"inertia": 0.6, "cognitive": 1.49, "social": 1.49,
+                      "velocity_clamp": 0.25}
+
+
 def test_instance_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.tsp"
     bad.write_text("DIMENSION : 3\n")

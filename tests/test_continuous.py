@@ -56,6 +56,17 @@ class TestContinuousEngine:
         with pytest.raises(ConfigError):
             ContinuousGhosaOptimizer(p_miss=1.0, p_catch=1.0, p_false=0.0).fit(f)
 
+    @pytest.mark.parametrize("bad", [-3.0, 0.0, 1.5])
+    def test_window_fraction_outside_unit_interval_rejected(self, bad):
+        f = benchmark_function("f1", dim=2)
+        with pytest.raises(ConfigError):
+            ContinuousGhosaOptimizer(window_fraction=bad, iterations=1).fit(f)
+
+    def test_replace_fraction_rejected(self):
+        f = benchmark_function("f1", dim=2)
+        with pytest.raises(ConfigError):
+            ContinuousGhosaOptimizer(replace_fraction=100.0, iterations=1).fit(f)
+
 
 class TestVectorizedMoveMatchesPureOps:
     def test_lbniv_move_equals_per_agent_update(self, rng):

@@ -15,6 +15,11 @@ from ghosa import (
     replace_worst,
     tsp_tour_length,
 )
+from ghosa.base import (
+    check_case_probabilities,
+    check_replace_fraction,
+    check_window_fraction,
+)
 from ghosa.errors import ConfigError
 from ghosa.problems import SequenceProblem
 
@@ -151,6 +156,11 @@ class TestOptimize:
         with pytest.raises(ConfigError):
             GhosaOptimizer(p_miss=0.9, p_catch=0.9, p_false=0.2).fit(prob)
 
+    def test_max_shift_validated(self, rng):
+        prob = TspProblem(random_tsp(rng, n=5))
+        with pytest.raises(ConfigError):
+            GhosaOptimizer(max_shift=0, iterations=1).fit(prob)
+
     def test_accept_if_better_never_worsens_agents(self, rng):
         # with worst-replacement off, every agent's fitness is monotone:
         # the same seed replays the same trajectory, so a longer run must
@@ -164,11 +174,35 @@ class TestOptimize:
         ).fit(prob)
         assert np.all(long.state_.fitness <= short.state_.fitness + 1e-12)
 
-    def test_population_state_agents_view(self, rng):
-        prob = TspProblem(random_tsp(rng, n=6))
-        opt = GhosaOptimizer(population_size=5, iterations=10, seed=0).fit(prob)
-        agents = opt.state_.agents
-        assert len(agents) == 5
-        for agent, fit in zip(agents, opt.state_.fitness):
-            assert agent.fitness == fit
-            assert sorted(agent.sequence.tolist()) == list(range(1, 7))
+
+class TestFitValidation:
+    """Operator settings are checked once, in ``fit``, by shared helpers."""
+
+    def test_probabilities_must_sum_to_one(self, rng):
+        with pytest.raises(ConfigError):
+            check_case_probabilities(0.5, 0.5, 0.5)
+        with pytest.raises(ConfigError):
+            check_case_probabilities(1.5, 0.0, -0.5)
+        prob = TspProblem(random_tsp(rng, n=5))
+        with pytest.raises(ConfigError):
+            GhosaOptimizer(p_miss=0.5, p_catch=0.5, p_false=0.5).fit(prob)
+
+    def test_window_fraction_bounds(self, rng):
+        prob = TspProblem(random_tsp(rng, n=5))
+        for bad in (0.0, 1.5, -3.0):
+            with pytest.raises(ConfigError):
+                GhosaOptimizer(window_fraction=bad, iterations=1).fit(prob)
+
+    def test_defaults_valid(self, rng):
+        opt = GhosaOptimizer()
+        case_p = check_case_probabilities(opt.p_miss, opt.p_catch, opt.p_false)
+        assert case_p.sum() == pytest.approx(1.0)
+        assert check_window_fraction(opt.window_fraction) == opt.window_fraction
+        assert check_replace_fraction(opt.replace_fraction) == opt.replace_fraction
+        opt.set_params(iterations=2).fit(TspProblem(random_tsp(rng, n=5)))
+
+    def test_replace_fraction_bounds(self, rng):
+        prob = TspProblem(random_tsp(rng, n=5))
+        for bad in (100.0, -1.0):
+            with pytest.raises(ConfigError):
+                GhosaOptimizer(replace_fraction=bad, iterations=1).fit(prob)

@@ -3,9 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from ghosa import ExperimentConfig, RunStats, aggregate_stats, run_experiment
+from ghosa import (
+    ContinuousGhosaOptimizer,
+    ExperimentConfig,
+    GeneticAlgorithmOptimizer,
+    GhosaOptimizer,
+    ParticleSwarmOptimizer,
+    RunStats,
+    aggregate_stats,
+    run_experiment,
+)
 from ghosa.errors import ConfigError, EmptyInput
-from ghosa.harness import build_problem, replay_report, resolve_instance_path
+from ghosa.harness import (
+    PROBLEM_KINDS,
+    SHARED_PARAMS,
+    _make_optimizer,
+    build_problem,
+    replay_report,
+    resolve_instance_path,
+)
 from ghosa.ingest import serialize_orlib_mknap, serialize_roadnet
 from conftest import random_knapsack, random_roadnet  # noqa: E402
 
@@ -68,6 +84,76 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_from_dict_rejects_unknown_keys(self):
+        # a flat report from before ``params`` must not replay at defaults
+        data = ExperimentConfig(problem="benchmark", instance="f6").to_dict()
+        data["swarm_rate"] = 0.5
+        with pytest.raises(ConfigError, match="swarm_rate"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("algorithm,params", [
+        ("PSO", {"swarm_rate": 0.5}),
+        ("GA", {"inertia": 0.6}),
+        ("GHOSA", {"max_shift": 2}),  # discrete-only knob on a continuous run
+        ("GHOSA", {"seed": 3}),  # the per-run seed comes from seed_base
+    ])
+    def test_params_the_optimizer_lacks_rejected(self, algorithm, params):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(problem="benchmark", instance="f6",
+                             algorithm=algorithm, params=params)
+
+
+# one non-default value per optimizer, so the check sees params applied
+SAMPLE_PARAMS = {
+    GhosaOptimizer: {"swarm_rate": 0.4, "max_shift": 3},
+    ContinuousGhosaOptimizer: {"eps0": 0.3, "window_fraction": 0.5},
+    ParticleSwarmOptimizer: {"inertia": 0.6},
+    GeneticAlgorithmOptimizer: {"mutation_rate": 0.2, "tournament_size": 3},
+}
+
+
+class TestSingleSourceOfParams:
+    """The estimator constructors alone hold each default."""
+
+    BASELINE_CASES = [("PSO", ParticleSwarmOptimizer), ("GA", GeneticAlgorithmOptimizer)]
+    CASES = [
+        ("GHOSA", kind, ContinuousGhosaOptimizer if kind == "benchmark" else GhosaOptimizer)
+        for kind in PROBLEM_KINDS
+    ] + [(algo, "benchmark", cls) for algo, cls in BASELINE_CASES]
+
+    @pytest.mark.parametrize("algorithm,problem,cls", CASES)
+    def test_built_optimizer_is_defaults_plus_params(self, algorithm, problem, cls):
+        params = SAMPLE_PARAMS[cls]
+        cfg = ExperimentConfig(problem=problem, instance="x", algorithm=algorithm,
+                               iterations=7, population=9, target=1.5, params=params)
+        opt = _make_optimizer(cfg, 4)
+        assert type(opt) is cls
+        assert opt.get_params() == {
+            **cls().get_params(), **params,
+            "population_size": 9, "iterations": 7, "target": 1.5, "seed": 4,
+        }
+
+    @pytest.mark.parametrize(
+        "algorithm,cls", [("GHOSA", ContinuousGhosaOptimizer), *BASELINE_CASES]
+    )
+    def test_report_params_replay_bit_exactly(self, algorithm, cls, tmp_path):
+        out = tmp_path / "params"
+        cfg = ExperimentConfig(
+            problem="benchmark", instance="f5", dim=3, algorithm=algorithm, runs=2,
+            iterations=60, population=10, seed_base=3, params=SAMPLE_PARAMS[cls],
+            out=str(out), format="json",
+        )
+        _, results = run_experiment(cfg)
+        data = json.loads(out.with_suffix(".json").read_text())
+        resolved = cls().set_params(**SAMPLE_PARAMS[cls]).get_params()
+        for name in SHARED_PARAMS:
+            del resolved[name]
+        assert data["config"]["params"] == resolved
+        _, replayed = replay_report(out.with_suffix(".json"))
+        for a, b in zip(results["runs"], replayed["runs"]):
+            assert a["best_fitness"] == b["best_fitness"]
+            assert np.array_equal(a["trace"], b["trace"])
+
 
 class TestRunExperiment:
     def test_benchmark_experiment_stats_shape(self):
@@ -110,6 +196,14 @@ class TestRunExperiment:
         parallel, _ = run_experiment(ExperimentConfig(**base, workers=2))
         assert serial.mean == parallel.mean
         assert serial.best == parallel.best
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_run_index_and_seed(self, workers):
+        cfg = ExperimentConfig(problem="benchmark", instance="f18", runs=2,
+                               iterations=5, population=4, seed_base=7,
+                               workers=workers, params={"swarm_rate": 2.0})
+        with pytest.raises(ConfigError, match=r"run 0 \(seed 7\) failed: swarm_rate"):
+            run_experiment(cfg)
 
 
 class TestExport:

@@ -4,15 +4,11 @@ import pytest
 
 from ghosa import (
     BaitingCase,
-    OperatorConfig,
     attracting_prey_swarms,
     baiting,
     change_of_position,
-    secondary_fitness_linkage,
-    secondary_fitness_segments,
 )
 from ghosa.errors import (
-    ConfigError,
     EmptyWindow,
     InvalidPosition,
     ShiftOutOfRange,
@@ -143,57 +139,3 @@ class TestAttractingPreySwarms:
             once = attracting_prey_swarms(seq, 0, shift)
             back = attracting_prey_swarms(once, 0, n - shift) if shift != 0 else once
             assert back.tolist() == seq.tolist()
-
-
-class TestSecondaryFitness:
-    def test_fully_linked_cycle_scores_two(self):
-        linked = lambda a, b: True
-        assert secondary_fitness_linkage([1, 2, 3, 4], linked, cyclic=True) == 2.0
-
-    def test_no_links_scores_zero(self):
-        linked = lambda a, b: False
-        assert secondary_fitness_linkage([1, 2, 3, 4], linked) == 0.0
-
-    def test_chain_of_three_in_six(self):
-        pairs = {(1, 2), (2, 3)}
-        linked = lambda a, b: (a, b) in pairs or (b, a) in pairs
-        value = secondary_fitness_linkage([1, 2, 3, 4, 5, 6], linked)
-        assert value == pytest.approx((1 + 2 + 1) / 6)
-
-    def test_segment_count_fully_linked(self):
-        assert secondary_fitness_segments([1, 2, 3], lambda a, b: True) == 1
-
-    def test_segment_count_fully_isolated(self):
-        assert secondary_fitness_segments([1, 2, 3, 4], lambda a, b: False) == 4
-
-    def test_segment_count_two_runs(self):
-        pairs = {(1, 2), (3, 4)}
-        linked = lambda a, b: (a, b) in pairs
-        assert secondary_fitness_segments([1, 2, 3, 4], linked) == 2
-
-    def test_linkage_range(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(1, 10))
-            seq = rng.permutation(n) + 1
-            table = rng.random((n + 1, n + 1)) < 0.5
-            linked = lambda a, b: bool(table[a, b])
-            v = secondary_fitness_linkage(seq, linked)
-            assert 0.0 <= v <= 2.0
-            m = secondary_fitness_segments(seq, linked)
-            assert 1 <= m <= n
-
-
-class TestOperatorConfig:
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            OperatorConfig(p_miss=0.5, p_catch=0.5, p_false=0.5)
-
-    def test_window_fraction_bounds(self):
-        with pytest.raises(ConfigError):
-            OperatorConfig(local_window_frac=0.0)
-        with pytest.raises(ConfigError):
-            OperatorConfig(local_window_frac=1.5)
-
-    def test_defaults_valid(self):
-        cfg = OperatorConfig()
-        assert cfg.case_probabilities().sum() == pytest.approx(1.0)
