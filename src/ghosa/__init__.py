@@ -8,7 +8,7 @@ oracles, GA/PSO baselines, and a seeded experiment harness.
 
 from .baselines import GeneticAlgorithmOptimizer, ParticleSwarmOptimizer
 from .continuous import ContinuousGhosaOptimizer
-from .engine import Agent, GhosaOptimizer, PopulationState, optimize, replace_worst
+from .engine import Agent, GhosaOptimizer, PopulationState, replace_worst
 from .harness import (
     ExperimentConfig,
     RunStats,
@@ -24,12 +24,7 @@ from .lbniv import (
     update_d,
     update_epsilon,
 )
-from .operators import (
-    BaitingCase,
-    attracting_prey_swarms,
-    baiting,
-    change_of_position,
-)
+from .operators import BaitingCase, attracting_prey_swarms, baiting
 from .problems import (
     BenchmarkFunction,
     KnapsackInstance,
@@ -76,14 +71,12 @@ __all__ = [
     "attracting_prey_swarms",
     "baiting",
     "benchmark_function",
-    "change_of_position",
     "clamp_to_bounds",
     "eval_benchmark",
     "export_report",
     "knapsack_decode",
     "knapsack_profit",
     "lbniv_update",
-    "optimize",
     "qap_cost",
     "replace_worst",
     "road_fitness",

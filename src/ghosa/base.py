@@ -9,6 +9,7 @@ a trailing underscore.  No scikit-learn dependency is needed for that.
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -46,15 +47,22 @@ class ParamMixin:
         return f"{type(self).__name__}({args})"
 
 
+def check_number(value, name: str) -> float:
+    """``value`` as a float; anything but a real number is a ConfigError."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_probability(value, name: str) -> float:
-    value = float(value)
+    value = check_number(value, name)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be in [0, 1], got {value}")
     return value
 
 
 def check_positive(value, name: str, *, strict: bool = True) -> float:
-    value = float(value)
+    value = check_number(value, name)
     if strict and value <= 0:
         raise ConfigError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:
@@ -64,7 +72,9 @@ def check_positive(value, name: str, *, strict: bool = True) -> float:
 
 def check_case_probabilities(p_miss, p_catch, p_false) -> np.ndarray:
     """The three baiting-case weights as an array; non-negative, summing to 1."""
-    case_p = np.array([p_miss, p_catch, p_false], dtype=float)
+    values = (p_miss, p_catch, p_false)
+    names = ("p_miss", "p_catch", "p_false")
+    case_p = np.array([check_number(v, name) for v, name in zip(values, names)])
     if abs(case_p.sum() - 1.0) > 1e-9 or np.any(case_p < 0):
         raise ConfigError(
             f"case probabilities must be non-negative and sum to 1, got {case_p.tolist()}"
@@ -74,20 +84,20 @@ def check_case_probabilities(p_miss, p_catch, p_false) -> np.ndarray:
 
 def check_replace_fraction(value) -> float:
     """Percentage of worst agents re-randomized per iteration, in [0, 100)."""
-    if not 0 <= value < 100:
+    if not 0 <= check_number(value, "replace_fraction") < 100:
         raise ConfigError(f"replace_fraction must be in [0, 100), got {value}")
     return value
 
 
 def check_window_fraction(value) -> float:
     """Fraction of the string scanned by change-of-position, in (0, 1]."""
-    if not 0.0 < value <= 1.0:
+    if not 0.0 < check_number(value, "window_fraction") <= 1.0:
         raise ConfigError(f"window_fraction must be in (0, 1], got {value}")
     return value
 
 
 def check_int_at_least(value, minimum: int, name: str) -> int:
-    if int(value) != value:
+    if int(check_number(value, name)) != value:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:

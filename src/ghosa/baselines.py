@@ -13,6 +13,8 @@ import numpy as np
 from .base import (
     ParamMixin,
     check_int_at_least,
+    check_number,
+    check_positive,
     check_probability,
     check_random_state,
 )
@@ -44,6 +46,9 @@ class ParticleSwarmOptimizer(ParamMixin):
     def fit(self, problem) -> "ParticleSwarmOptimizer":
         check_int_at_least(self.population_size, 1, "population_size")
         check_int_at_least(self.iterations, 1, "iterations")
+        check_number(self.inertia, "inertia")
+        for name in ("cognitive", "social", "velocity_clamp"):
+            check_positive(getattr(self, name), name, strict=False)
         rng = check_random_state(self.seed)
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         span = hi - lo
@@ -121,6 +126,7 @@ class GeneticAlgorithmOptimizer(ParamMixin):
         check_probability(self.crossover_rate, "crossover_rate")
         if self.mutation_rate is not None:
             check_probability(self.mutation_rate, "mutation_rate")
+        check_positive(self.mutation_scale, "mutation_scale", strict=False)
         check_int_at_least(self.tournament_size, 1, "tournament_size")
         rng = check_random_state(self.seed)
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]

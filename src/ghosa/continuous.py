@@ -1,11 +1,12 @@
 """Continuous-domain swarm engine: string operators plus the LBNIV move.
 
 Agents are real vectors in a box.  Each iteration a candidate is built per
-agent by the discrete-style operators reinterpreted on value strings (a
-fresh value baited into the best slot, occasional rotation), then shifted
-by the neighbor-influenced variation, clamped, evaluated, and accepted only
-on improvement.  All per-agent state (direction d, step scale eps) is kept
-as stacked arrays so one iteration is a handful of numpy passes.
+agent by the discrete engine's operator kernels run on value strings (a
+fresh value baited into the best slot by ``apply_cases``, occasional
+``rotate_segments``), then shifted by the neighbor-influenced variation,
+clamped, evaluated, and accepted only on improvement.  All per-agent state
+(direction d, step scale eps) is kept as stacked arrays so one iteration is
+a handful of numpy passes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .lbniv import (
     update_d_batch,
     update_epsilon_batch,
 )
+from .operators import apply_cases, rotate_segments
 
 #: step scales beyond this are reset to eps0 (runaway growth guard)
 EPS_CAP = 1e12
@@ -70,41 +72,6 @@ class ContinuousGhosaOptimizer(ParamMixin):
         self.bias = bias
         self.target = target
         self.seed = seed
-
-    # --- candidate construction helpers (vectorized across agents) ---------
-
-    @staticmethod
-    def _apply_cases(x: np.ndarray, cases, positions, baits) -> np.ndarray:
-        """Apply the three baiting outcomes rowwise on value strings."""
-        out = x.copy()
-        dim = x.shape[1]
-        rows = np.arange(len(x))
-
-        catch = cases == 1
-        out[rows[catch], positions[catch]] = baits[catch]
-
-        miss = cases == 0
-        if np.any(miss) and dim > 1:
-            sub = x[miss]
-            p = positions[miss][:, None]
-            cols = np.arange(dim)[None, :]
-            src = np.where(cols > p, cols - 1, cols)
-            shifted = np.take_along_axis(sub, src, axis=1)
-            shifted[np.arange(len(sub)), positions[miss]] = baits[miss]
-            out[miss] = shifted
-        elif np.any(miss):
-            out[rows[miss], 0] = baits[miss]
-
-        false = cases == 2
-        if np.any(false) and dim > 1:
-            sub = x[false]
-            p = positions[false][:, None]
-            cols = np.arange(dim)[None, :]
-            src = np.where((cols >= p) & (cols < dim - 1), cols + 1, cols)
-            shifted = np.take_along_axis(sub, src, axis=1)
-            shifted[:, dim - 1] = sub[np.arange(len(sub)), positions[false]]
-            out[false] = shifted
-        return out
 
     def _lbniv_move(
         self,
@@ -177,13 +144,11 @@ class ContinuousGhosaOptimizer(ParamMixin):
                 positions[better] = pos
             baits = lo[positions] + bait_u * span[positions]
 
-            cand = self._apply_cases(x, cases, positions, baits)
+            cand = apply_cases(x, cases, positions, baits, permutation=False)
             if dim >= 2 and np.any(rotate):
                 shifts = rng.integers(1, dim, size=n_agents)
                 idx = np.nonzero(rotate)[0]
-                cols = np.arange(dim)[None, :]
-                src = (cols - shifts[idx][:, None]) % dim
-                cand[idx] = np.take_along_axis(cand[idx], src, axis=1)
+                cand[idx] = rotate_segments(cand[idx], 0, dim, shifts[idx])
 
             rear = np.roll(x, 1, axis=0)
             front = np.roll(x, -1, axis=0)

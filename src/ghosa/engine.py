@@ -1,10 +1,11 @@
 """Population engine for discrete event-string optimization.
 
-Each iteration every agent runs the operator pipeline (baiting draw,
-change-of-position refinement, occasional attracting-prey-swarms rotation,
-then the completing baiting application), is re-evaluated, and keeps the new
-string only if it improves.  After the per-agent sweep the worst slice of
-the population is re-randomized.  The recorded global best never worsens.
+Each iteration runs the operator pipeline on the whole ``(agents, n)``
+population at once: one batched ``placement_cost`` call and a row-wise argmin
+pick each agent's slot (change-of-position), ``rotate_segments`` and
+``apply_cases`` build the candidates, and each candidate replaces its agent
+only if it improves.  Then the worst slice of the population is
+re-randomized.  The recorded global best never worsens.
 """
 
 from __future__ import annotations
@@ -22,16 +23,9 @@ from .base import (
     check_replace_fraction,
     check_window_fraction,
 )
-from .errors import ConfigError
-from .operators import (
-    BaitingCase,
-    attracting_prey_swarms,
-    baiting,
-    change_of_position,
-)
+from .operators import apply_cases, rotate_segments
 from .problems.core import SequenceProblem
 
-_CASES = (BaitingCase.MISS_CATCH, BaitingCase.CATCH, BaitingCase.FALSE_CATCH)
 _BASE_COMPONENT_VALUES = SequenceProblem.component_values
 _BASE_PLACEMENT_COST = SequenceProblem.placement_cost
 
@@ -43,9 +37,6 @@ class Agent:
     sequence: np.ndarray
     fitness: float
 
-    def copy(self) -> "Agent":
-        return Agent(self.sequence.copy(), self.fitness)
-
 
 @dataclass
 class PopulationState:
@@ -56,6 +47,14 @@ class PopulationState:
     global_best: Agent
     iteration: int = 0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
+
+    def update_best(self, sign: float) -> bool:
+        """Take the best agent as the global best if it beats it strictly."""
+        bi = int(np.argmin(sign * self.fitness))
+        if sign * self.fitness[bi] < sign * self.global_best.fitness:
+            self.global_best = Agent(self.sequences[bi].copy(), float(self.fitness[bi]))
+            return True
+        return False
 
 
 def replace_worst(state: PopulationState, fraction: float, problem) -> PopulationState:
@@ -89,7 +88,8 @@ class GhosaOptimizer(ParamMixin):
     is known); ``seed`` makes the whole run reproducible.
 
     After ``fit(problem)`` the result lives in ``best_sequence_``,
-    ``best_fitness_``, ``best_agent_``, and the per-iteration ``trace_``.
+    ``best_fitness_`` and the per-iteration ``trace_``.  ``evaluations_``
+    counts every row scored, including the re-scores of dynamic problems.
     """
 
     def __init__(
@@ -124,8 +124,8 @@ class GhosaOptimizer(ParamMixin):
         check_probability(self.swarm_rate, "swarm_rate")
         case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
         check_window_fraction(self.window_fraction)
-        if self.max_shift is not None and self.max_shift < 1:
-            raise ConfigError("max_shift must be >= 1 when set")
+        if self.max_shift is not None:
+            check_int_at_least(self.max_shift, 1, "max_shift")
         check_replace_fraction(self.replace_fraction)
 
         rng = check_random_state(self.seed)
@@ -169,6 +169,7 @@ class GhosaOptimizer(ParamMixin):
                 state.fitness = np.asarray(
                     problem.batch_fitness(state.sequences), dtype=float
                 )
+                evaluations += n_agents
 
             weights = 1.0 / (1.0 + bait_counts)
             baits = rng.choice(n, size=n_agents, p=weights / weights.sum()) + 1
@@ -181,34 +182,31 @@ class GhosaOptimizer(ParamMixin):
                 starts = rng.integers(0, n - window_len + 1, size=n_agents)
             fallback = rng.integers(0, window_len, size=n_agents)
 
-            candidates = np.empty_like(state.sequences)
-            for i in range(n_agents):
-                seq = state.sequences[i]
-                bait = int(baits[i])
-                window = range(int(starts[i]), int(starts[i]) + window_len)
-                if has_heuristic:
-                    costs = problem.placement_cost(seq, bait, window)
-                    position = change_of_position(seq, bait, window, costs)
-                else:
-                    position = int(starts[i] + fallback[i])
+            if has_heuristic:
+                windows = starts[:, None] + np.arange(window_len)
+                costs = problem.placement_cost(state.sequences, baits, windows)
+                positions = starts + np.argmin(costs, axis=1)
+            else:
+                positions = starts + fallback
 
-                cand = seq
-                if rotate[i] and n >= 2:
-                    if whole_rotation:
-                        start, stop = 0, n
-                    else:
-                        seg_len = int(rng.integers(2, n + 1))
-                        start = int(rng.integers(0, n - seg_len + 1))
-                        stop = start + seg_len
-                    seg_len = stop - start
-                    cap = seg_len - 1
-                    if self.max_shift is not None:
-                        cap = min(cap, self.max_shift)
-                    shift = int(rng.integers(1, cap + 1))
-                    cand = attracting_prey_swarms(cand, position, shift, (start, stop))
-                candidates[i] = baiting(
-                    cand, bait, position, _CASES[case_idx[i]], n_events=n
-                )
+            # segment bounds and shifts are drawn agent by agent, in agent
+            # order, so the random stream matches the scalar operator
+            rotating = np.flatnonzero(rotate) if n >= 2 else np.empty(0, dtype=int)
+            segments = []
+            for _ in rotating:
+                start, stop = 0, n
+                if not whole_rotation:
+                    seg_len = int(rng.integers(2, n + 1))
+                    start = int(rng.integers(0, n - seg_len + 1))
+                    stop = start + seg_len
+                cap = stop - start - 1
+                if self.max_shift is not None:
+                    cap = min(cap, self.max_shift)
+                segments.append((start, stop, int(rng.integers(1, cap + 1))))
+            segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
+            rotated = state.sequences.copy()
+            rotated[rotating] = rotate_segments(rotated[rotating], *segments.T)
+            candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)
 
             cand_fitness = np.asarray(problem.batch_fitness(candidates), dtype=float)
             evaluations += n_agents
@@ -216,22 +214,14 @@ class GhosaOptimizer(ParamMixin):
             state.sequences[improved] = candidates[improved]
             state.fitness[improved] = cand_fitness[improved]
 
-            def refresh_best():
-                nonlocal last_components
-                bi = int(np.argmin(sign * state.fitness))
-                if sign * state.fitness[bi] < sign * state.global_best.fitness:
-                    state.global_best = Agent(
-                        state.sequences[bi].copy(), float(state.fitness[bi])
-                    )
-                    if track_components:
-                        got = problem.component_values(state.global_best.sequence)
-                        if got is not None:
-                            last_components = got
-
-            refresh_best()
+            new_best = state.update_best(sign)
             replace_worst(state, self.replace_fraction, problem)
             evaluations += int(self.replace_fraction * n_agents // 100)
-            refresh_best()
+            new_best = state.update_best(sign) or new_best
+            if new_best and track_components:
+                got = problem.component_values(state.global_best.sequence)
+                if got is not None:
+                    last_components = got
 
             state.iteration = iteration
             trace.append(state.global_best.fitness)
@@ -245,9 +235,8 @@ class GhosaOptimizer(ParamMixin):
                 break
 
         self.state_ = state
-        self.best_agent_ = state.global_best.copy()
-        self.best_sequence_ = self.best_agent_.sequence
-        self.best_fitness_ = self.best_agent_.fitness
+        self.best_sequence_ = state.global_best.sequence
+        self.best_fitness_ = state.global_best.fitness
         self.trace_ = np.asarray(trace)
         self.trace_components_ = components if track_components else None
         self.n_iterations_ = state.iteration
@@ -255,8 +244,3 @@ class GhosaOptimizer(ParamMixin):
         self.stopped_early_ = stopped_early
         return self
 
-
-def optimize(problem, **params) -> tuple[Agent, np.ndarray]:
-    """One-call wrapper: returns (best agent, per-iteration best trace)."""
-    opt = GhosaOptimizer(**params).fit(problem)
-    return opt.best_agent_, opt.trace_

@@ -27,10 +27,6 @@ class UnknownEvent(GhosaError, ValueError):
     """Bait/event id not in the problem's event universe."""
 
 
-class EmptyWindow(GhosaError, ValueError):
-    """Change-of-position window contains no candidate slots."""
-
-
 class ShiftOutOfRange(GhosaError, ValueError):
     """Rotation shift not in [1, segment_length - 1]."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import check_bounds_array, check_positive
+from .base import check_bounds_array, check_number, check_positive
 from .errors import ConfigError, DegenerateFitnessWarning, DimensionMismatch
 
 #: |previous fitness| below this is treated as degenerate (no relative change).
@@ -34,8 +34,9 @@ class LbnivParams:
     eps0: float = 0.2
 
     def __post_init__(self):
-        if self.k <= 1.0:
+        if check_number(self.k, "k") <= 1.0:
             raise ConfigError(f"k must be > 1, got {self.k}")
+        check_number(self.bias, "bias")
         check_positive(self.eps0, "eps0")
 
 

@@ -2,9 +2,10 @@
 
 A solution is an ordered string of discrete events (1..n for permutation
 encodings, node ids for path encodings).  The three baiting outcomes insert,
-swap, or displace a single event; change-of-position is a windowed local
-search for the best application slot; attracting-prey-swarms cyclically
-rotates a segment under a fixed slot.
+swap, or displace a single event; attracting-prey-swarms cyclically rotates a
+segment under a fixed slot.  ``apply_cases`` and ``rotate_segments`` apply
+them row-wise to ``(agents, length)`` arrays for both engines; the scalar
+``baiting`` and ``attracting_prey_swarms`` are their one-row test oracles.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ import enum
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyWindow,
-    InvalidPosition,
-    ShiftOutOfRange,
-    UnknownEvent,
-)
+from .errors import InvalidPosition, ShiftOutOfRange, UnknownEvent
 
 
 class BaitingCase(enum.Enum):
@@ -81,37 +76,6 @@ def baiting(
     return np.insert(seq, position, bait)
 
 
-def change_of_position(sequence, bait: int, window, heuristic) -> int:
-    """Best slot for the bait inside ``window`` under a local cost function.
-
-    ``window`` is an iterable of contiguous candidate indices; ``heuristic``
-    is either a callable ``position -> cost`` or a precomputed cost array
-    aligned with the window.  Ties break to the lowest index.
-    """
-    positions = list(window)
-    if not positions:
-        raise EmptyWindow("change-of-position window has no candidate slots")
-    n = len(sequence)
-    for p in positions:
-        if not 0 <= p < n:
-            raise InvalidPosition(f"window position {p} out of range for length {n}")
-
-    if callable(heuristic):
-        costs = [float(heuristic(p)) for p in positions]
-    else:
-        costs = [float(c) for c in heuristic]
-        if len(costs) != len(positions):
-            raise ConfigError("cost array length does not match window length")
-
-    best_pos = positions[0]
-    best_cost = costs[0]
-    for p, c in zip(positions[1:], costs[1:]):
-        if c < best_cost:
-            best_cost = c
-            best_pos = p
-    return best_pos
-
-
 def attracting_prey_swarms(
     sequence,
     bait_position: int,
@@ -144,3 +108,45 @@ def attracting_prey_swarms(
         )
     seq[start:stop] = np.roll(seq[start:stop], shift)
     return seq
+
+
+def apply_cases(x, cases, positions, baits, *, permutation: bool) -> np.ndarray:
+    """Apply one baiting outcome per row of ``x`` and return the new rows.
+
+    ``cases`` codes each row's outcome: 0 miss catch, 1 catch, 2 false catch.
+    Row for row this is ``baiting``, except that on value strings miss catch
+    drops the last entry to keep the length.
+    """
+    rows = np.arange(len(x))
+    last = x.shape[1] - 1
+    miss, catch = cases == 0, cases == 1
+    if permutation:
+        slots = np.argmax(x == baits[:, None], axis=1)
+        src = np.where(miss, slots, positions)
+    else:
+        src = np.where(miss, last, positions)
+    dst = np.where(miss, positions, last)
+    src[catch] = dst[catch] = positions[catch]
+    # miss and false catch move slot s to slot t, shifting the events between
+    # by one; catch moves nothing here, then swaps or overwrites below
+    cols = np.arange(x.shape[1])[None, :]
+    s, t = src[:, None], dst[:, None]
+    shifted = cols + ((s <= cols) & (cols < t)) - ((t < cols) & (cols <= s))
+    index = np.where(cols == t, s, shifted)
+    if permutation:
+        index[rows[catch], slots[catch]] = positions[catch]
+        index[rows[catch], positions[catch]] = slots[catch]
+    out = np.take_along_axis(x, index, axis=1)
+    if not permutation:
+        keep = cases != 2
+        out[rows[keep], positions[keep]] = baits[keep]
+    return out
+
+
+def rotate_segments(x, starts, stops, shifts) -> np.ndarray:
+    """Rotate each row's segment [start, stop) right by ``shift``; scalars broadcast."""
+    cols = np.arange(x.shape[1])[None, :]
+    start, stop, shift = (np.reshape(a, (-1, 1)) for a in (starts, stops, shifts))
+    inside = (start <= cols) & (cols < stop)
+    index = np.where(inside, start + (cols - start - shift) % (stop - start), cols)
+    return np.take_along_axis(x, index, axis=1)

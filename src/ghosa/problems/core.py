@@ -34,8 +34,13 @@ class SequenceProblem:
     def fitness(self, sequence) -> float:
         return float(self.batch_fitness(np.asarray(sequence)[None, :])[0])
 
-    def placement_cost(self, sequence, bait: int, positions) -> np.ndarray | None:
-        """Local heuristic for change-of-position; None skips the refinement."""
+    def placement_cost(self, sequences, baits, positions) -> np.ndarray | None:
+        """Change-of-position cost of each row's bait at each candidate slot.
+
+        ``positions`` is ``(agents, window)`` and so is the result; the engine
+        takes each row's lowest-cost slot.  Left as None, the engine applies
+        each bait at a random slot of its window instead.
+        """
         return None
 
     def component_values(self, sequence) -> dict[str, float] | None:

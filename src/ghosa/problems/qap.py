@@ -66,25 +66,27 @@ class QapProblem(SequenceProblem):
         gathered = self._d[loc[:, :, None], loc[:, None, :]]
         return (self._f[None, :, :] * gathered).sum(axis=(1, 2))
 
-    def placement_cost(self, sequence, bait: int, positions) -> np.ndarray:
-        """Cost of handing location ``bait`` to each candidate facility slot.
+    def placement_cost(self, sequences, baits, positions) -> np.ndarray:
+        """Cost of handing each row's bait location to each candidate slot.
 
         Symmetric instances get the exact cost change of the implied
         location swap, so the refinement step picks the best improving swap
         for the sampled bait; otherwise a one-sided interaction estimate.
         """
-        loc = np.asarray(sequence) - 1
-        b = bait - 1
-        pos = np.asarray(list(positions))
+        loc = np.asarray(sequences) - 1
+        rows = np.arange(len(loc))[:, None]
+        b = (np.asarray(baits) - 1)[:, None]
+        pos = np.asarray(positions)
+        d_b_loc = self._d[b, loc][:, None, :]
         if self._symmetric:
-            q = int(np.nonzero(loc == b)[0][0])
-            f_diff = self._f[q][None, :] - self._f[pos]
-            d_diff = self._d[np.ix_(loc[pos], loc)] - self._d[b, loc][None, :]
-            s = (f_diff * d_diff).sum(axis=1)
-            d_b_lp = self._d[b, loc[pos]]
+            q = np.argmax(loc == b, axis=1)[:, None]
+            f_diff = self._f[q] - self._f[pos]
+            d_diff = self._d[loc[rows, pos][:, :, None], loc[:, None, :]] - d_b_loc
+            s = (f_diff * d_diff).sum(axis=2)
+            d_b_lp = self._d[b, loc[rows, pos]]
             k_p = (self._f[q, pos] - self._fdiag[pos]) * (0.0 - d_b_lp)
             k_q = (self._fdiag[q] - self._f[pos, q]) * d_b_lp
             return 2.0 * (s - k_p - k_q)
-        out_cost = (self._f[pos] * self._d[b, loc][None, :]).sum(axis=1)
-        in_cost = (self._f[:, pos].T * self._d[loc, b][None, :]).sum(axis=1)
+        out_cost = (self._f[pos] * d_b_loc).sum(axis=2)
+        in_cost = (self._f.T[pos] * self._d[loc, b][:, None, :]).sum(axis=2)
         return out_cost + in_cost

@@ -157,11 +157,11 @@ class TspProblem(SequenceProblem):
         idx = sequences - 1
         return self._d[idx, np.roll(idx, -1, axis=1)].sum(axis=1)
 
-    def placement_cost(self, sequence, bait: int, positions) -> np.ndarray:
+    def placement_cost(self, sequences, baits, positions) -> np.ndarray:
         # Insertion delta for the bait city ahead of each candidate slot.
-        seq = np.asarray(sequence) - 1
-        pos = np.asarray(list(positions))
-        nxt = seq[pos]
-        prv = seq[pos - 1]
-        b = bait - 1
+        seq = np.asarray(sequences) - 1
+        rows = np.arange(len(seq))[:, None]
+        nxt = seq[rows, positions]
+        prv = seq[rows, positions - 1]
+        b = (np.asarray(baits) - 1)[:, None]
         return self._d[prv, b] + self._d[b, nxt] - self._d[prv, nxt]

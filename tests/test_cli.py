@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import FIXTURES
 from ghosa.cli import entrypoint
 
@@ -92,6 +94,27 @@ def test_bad_param_value_exits_one(capsys):
     )
     assert code == 1
     assert "run 0 (seed 0)" in err
+
+
+@pytest.mark.parametrize(
+    "algo, param",
+    [
+        ("GHOSA", "swarm_rate=abc"),
+        ("GHOSA", "replace_fraction=abc"),
+        ("GHOSA", "k=abc"),
+        ("PSO", "inertia=abc"),
+        ("PSO", "velocity_clamp=abc"),
+        ("GA", "mutation_rate=abc"),
+        ("GA", "mutation_scale=abc"),
+    ],
+)
+def test_non_numeric_param_exits_one(capsys, algo, param):
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "benchmark", "--instance", "f6", "--algo", algo,
+        "--runs", "1", "--iters", "2", "--param", param,
+    )
+    assert code == 1
+    assert "must be a number" in err
 
 
 def test_param_reaches_optimizer_and_report(capsys, tmp_path):

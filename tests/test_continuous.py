@@ -5,6 +5,7 @@ from ghosa import ContinuousGhosaOptimizer, benchmark_function
 from ghosa.continuous import ContinuousGhosaOptimizer as CGO
 from ghosa.errors import ConfigError
 from ghosa.lbniv import ContinuousAgent, LbnivParams, lbniv_update
+from ghosa.operators import apply_cases
 
 
 class TestContinuousEngine:
@@ -92,7 +93,7 @@ class TestVectorizedMoveMatchesPureOps:
         cases = np.array([0, 1, 2, 0, 1, 2])
         positions = np.array([1, 2, 0, 4, 0, 4])
         baits = rng.normal(size=6)
-        out = CGO._apply_cases(x, cases, positions, baits)
+        out = apply_cases(x, cases, positions, baits, permutation=False)
         assert out.shape == x.shape
         # catch: exact slot replacement
         assert out[1, 2] == baits[1]

@@ -3,15 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_knapsack, random_qap, random_tsp
+from conftest import random_knapsack, random_qap, random_roadnet, random_tsp
 from ghosa import (
     Agent,
     GhosaOptimizer,
     KnapsackProblem,
     PopulationState,
     QapProblem,
+    RoadNetworkProblem,
     TspProblem,
-    optimize,
     replace_worst,
     tsp_tour_length,
 )
@@ -33,6 +33,22 @@ class ConstantProblem(SequenceProblem):
 
     def batch_fitness(self, sequences):
         return np.full(len(sequences), 7.0)
+
+
+class FlatCostProblem(ConstantProblem):
+    """Every slot costs the same; records the engine's calls."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.scored = []
+
+    def batch_fitness(self, sequences):
+        self.scored.append(sequences.copy())
+        return super().batch_fitness(sequences)
+
+    def placement_cost(self, sequences, baits, positions):
+        self.baits, self.windows = baits.copy(), positions.copy()
+        return np.zeros(positions.shape)
 
 
 class TestReplaceWorst:
@@ -82,13 +98,12 @@ class TestReplaceWorst:
 
 class TestOptimize:
     def test_single_agent_single_iteration_constant_problem(self):
-        best, trace = optimize(
-            ConstantProblem(), population_size=1, iterations=1,
-            replace_fraction=0.0, seed=0,
-        )
-        assert best.fitness == 7.0
-        assert len(trace) == 1
-        assert sorted(best.sequence.tolist()) == [1, 2, 3, 4]
+        opt = GhosaOptimizer(
+            population_size=1, iterations=1, replace_fraction=0.0, seed=0,
+        ).fit(ConstantProblem())
+        assert opt.best_fitness_ == 7.0
+        assert len(opt.trace_) == 1
+        assert sorted(opt.best_sequence_.tolist()) == [1, 2, 3, 4]
 
     def test_five_city_tour_matches_brute_force(self, rng):
         inst = random_tsp(rng, n=5)
@@ -96,11 +111,28 @@ class TestOptimize:
         expected = min(
             tsp_tour_length(inst, [1, *rest]) for rest in tours
         )
-        best, _ = optimize(
-            TspProblem(inst), population_size=20, iterations=2000,
-            seed=11, target=expected,
-        )
-        assert best.fitness == pytest.approx(expected)
+        opt = GhosaOptimizer(
+            population_size=20, iterations=2000, seed=11, target=expected,
+        ).fit(TspProblem(inst))
+        assert opt.best_fitness_ == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "n, window_fraction, width",
+        [(6, 1.0, 6), (30, 0.01, 1)],
+        ids=["full-window-ties", "window-of-one"],
+    )
+    def test_ties_pick_lowest_slot_of_window(self, n, window_fraction, width):
+        # catch only, no rotation: each candidate holds its bait at the slot
+        # change-of-position picked, the first of its equal-cost window
+        prob = FlatCostProblem(n)
+        GhosaOptimizer(
+            population_size=8, iterations=1, replace_fraction=0.0, p_miss=0.0,
+            p_catch=1.0, p_false=0.0, swarm_rate=0.0,
+            window_fraction=window_fraction, seed=0,
+        ).fit(prob)
+        _, candidates = prob.scored
+        assert prob.windows.shape == (8, width)
+        assert np.array_equal(candidates[np.arange(8), prob.windows[:, 0]], prob.baits)
 
     def test_seeded_replay_identical(self, rng):
         prob = QapProblem(random_qap(rng, n=6))
@@ -173,6 +205,34 @@ class TestOptimize:
             population_size=8, iterations=120, replace_fraction=0.0, seed=21
         ).fit(prob)
         assert np.all(long.state_.fitness <= short.state_.fitness + 1e-12)
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: TspProblem(random_tsp(rng, n=9)),
+            lambda rng: RoadNetworkProblem(random_roadnet(rng), awt_noise=0.5),
+            lambda rng: KnapsackProblem(
+                random_knapsack(rng, m=2, n=10), threshold_policy="random"
+            ),
+        ],
+        ids=["tsp", "noisy-road", "random-knapsack"],
+    )
+    def test_evaluations_equal_rows_scored(self, make, rng):
+        # dynamic problems re-score the population every iteration; those
+        # rows are evaluations too
+        prob = make(rng)
+        scored = []
+        batch_fitness = prob.batch_fitness
+
+        def counted(sequences):
+            scored.append(len(sequences))
+            return batch_fitness(sequences)
+
+        prob.batch_fitness = counted
+        opt = GhosaOptimizer(population_size=12, iterations=30, seed=3).fit(prob)
+        assert opt.evaluations_ == sum(scored)
 
 
 class TestFitValidation:

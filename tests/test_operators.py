@@ -1,19 +1,9 @@
-import math
-
+import numpy as np
 import pytest
 
-from ghosa import (
-    BaitingCase,
-    attracting_prey_swarms,
-    baiting,
-    change_of_position,
-)
-from ghosa.errors import (
-    EmptyWindow,
-    InvalidPosition,
-    ShiftOutOfRange,
-    UnknownEvent,
-)
+from ghosa import BaitingCase, attracting_prey_swarms, baiting
+from ghosa.errors import InvalidPosition, ShiftOutOfRange, UnknownEvent
+from ghosa.operators import apply_cases, rotate_segments
 
 
 class TestBaiting:
@@ -75,40 +65,6 @@ class TestBaiting:
         assert "".join(removed) == "ABCDGHIE"
 
 
-class TestChangeOfPosition:
-    def test_four_city_insertion_slot(self, unit_square_tsp):
-        # tour over three corners, bait is the missing one; independent
-        # enumeration of insertion deltas picks the slot between c1 and c3
-        coords = unit_square_tsp.coords
-        tour = [1, 2, 4]
-        bait = 3
-
-        def insertion_delta(pos):
-            prev = coords[tour[pos - 1] - 1]
-            nxt = coords[tour[pos] - 1]
-            b = coords[bait - 1]
-            return (
-                math.dist(prev, b) + math.dist(b, nxt) - math.dist(prev, nxt)
-            )
-
-        expected = min(range(3), key=insertion_delta)
-        got = change_of_position(tour, bait, range(3), insertion_delta)
-        assert got == expected == 2
-
-    def test_window_of_one(self):
-        assert change_of_position([1, 2, 3], 1, range(1, 2), lambda p: 0.0) == 1
-
-    def test_uniform_costs_tie_break_to_lowest_index(self):
-        assert change_of_position([1, 2, 3, 4], 1, range(1, 4), lambda p: 7.0) == 1
-
-    def test_accepts_precomputed_cost_array(self):
-        assert change_of_position([1, 2, 3, 4], 1, range(4), [3.0, 1.0, 1.0, 2.0]) == 1
-
-    def test_empty_window(self):
-        with pytest.raises(EmptyWindow):
-            change_of_position([1, 2, 3], 1, range(0), lambda p: 0.0)
-
-
 class TestAttractingPreySwarms:
     def test_three_revolutions_example(self):
         # eight-element string with the bait slot over E: three revolutions
@@ -139,3 +95,38 @@ class TestAttractingPreySwarms:
             once = attracting_prey_swarms(seq, 0, shift)
             back = attracting_prey_swarms(once, 0, n - shift) if shift != 0 else once
             assert back.tolist() == seq.tolist()
+
+
+class TestKernelsMatchScalarOracles:
+    """Each row of a batched kernel equals the scalar operator on that row."""
+
+    CASES = (BaitingCase.MISS_CATCH, BaitingCase.CATCH, BaitingCase.FALSE_CATCH)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_case_rows_equal_baiting(self, n, rng):
+        rows = 90
+        x = np.array([rng.permutation(n) + 1 for _ in range(rows)])
+        cases = np.resize([0, 1, 2], rows)
+        positions = rng.integers(0, n, rows)
+        baits = rng.integers(1, n + 1, rows)
+        before = x.copy()
+        out = apply_cases(x, cases, positions, baits, permutation=True)
+        for i in range(rows):
+            expected = baiting(
+                x[i], int(baits[i]), int(positions[i]), self.CASES[cases[i]], n_events=n
+            )
+            assert out[i].tolist() == expected.tolist()
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_rotated_rows_equal_attracting_prey_swarms(self, n, rng):
+        rows = 60
+        x = np.array([rng.permutation(n) + 1 for _ in range(rows)])
+        lengths = rng.integers(2, n + 1, rows)
+        starts = rng.integers(0, n - lengths + 1)
+        shifts = rng.integers(1, lengths)
+        out = rotate_segments(x, starts, starts + lengths, shifts)
+        for i in range(rows):
+            segment = (int(starts[i]), int(starts[i] + lengths[i]))
+            expected = attracting_prey_swarms(x[i], segment[0], int(shifts[i]), segment)
+            assert out[i].tolist() == expected.tolist()

@@ -10,6 +10,7 @@ from ghosa import (
     QapInstance,
     RoadNetwork,
     TspInstance,
+    TspProblem,
     knapsack_decode,
     knapsack_profit,
     qap_cost,
@@ -83,6 +84,28 @@ class TestTsp:
         assert rounded == pytest.approx(round(1.2) + round(1.5) + round(0.9), abs=1e-9)
         assert raw == pytest.approx(1.2 + 1.5 + 0.9)
 
+    def test_placement_cost_unit_square_insertion_slot(self, unit_square_tsp):
+        # tour over three corners, bait is the missing one; independent
+        # enumeration of insertion deltas picks the slot between c1 and c3
+        coords = unit_square_tsp.coords
+        tour = [1, 2, 4]
+        bait = 3
+
+        def insertion_delta(pos):
+            prev = coords[tour[pos - 1] - 1]
+            nxt = coords[tour[pos] - 1]
+            b = coords[bait - 1]
+            return (
+                math.dist(prev, b) + math.dist(b, nxt) - math.dist(prev, nxt)
+            )
+
+        costs = TspProblem(unit_square_tsp).placement_cost(
+            np.array([tour]), np.array([bait]), np.array([[0, 1, 2]])
+        )
+        assert costs[0] == pytest.approx([insertion_delta(p) for p in range(3)])
+        expected = min(range(3), key=insertion_delta)
+        assert int(np.argmin(costs[0])) == expected == 2
+
     def test_explicit_requires_matrix(self):
         with pytest.raises(InstanceError):
             TspInstance(n=3, metric="EXPLICIT")
@@ -132,7 +155,9 @@ class TestQap:
             seq = rng.permutation(8) + 1
             bait = int(rng.integers(1, 9))
             base = prob.fitness(seq)
-            deltas = prob.placement_cost(seq, bait, range(8))
+            deltas = prob.placement_cost(
+                seq[None, :], np.array([bait]), np.arange(8)[None, :]
+            )[0]
             q = int(np.nonzero(seq == bait)[0][0])
             for p in range(8):
                 swapped = seq.copy()
@@ -149,8 +174,41 @@ class TestQap:
 
         prob = QapProblem(inst)
         assert not prob._symmetric
-        costs = prob.placement_cost([1, 2, 3, 4], 2, range(4))
+        costs = prob.placement_cost(
+            np.array([[1, 2, 3, 4]]), np.array([2]), np.arange(4)[None, :]
+        )[0]
         assert costs.shape == (4,)
+
+    def test_batched_placement_cost_has_one_bait_and_window_per_row(self, rng):
+        from conftest import random_qap
+        from ghosa.problems import QapProblem
+
+        n, rows, width = 9, 6, 4
+        flow = rng.integers(0, 9, (n, n))
+        dist = rng.integers(1, 9, (n, n))
+        for inst in (random_qap(rng, n=n), QapInstance(n=n, flow=flow, dist=dist)):
+            prob = QapProblem(inst)
+            f, d = inst.flow, inst.dist
+            seqs = np.array([rng.permutation(n) + 1 for _ in range(rows)])
+            baits = rng.integers(1, n + 1, rows)
+            windows = rng.integers(0, n - width + 1, rows)[:, None] + np.arange(width)
+            costs = prob.placement_cost(seqs, baits, windows)
+            assert costs.shape == (rows, width)
+            for r in range(rows):
+                loc, b = seqs[r] - 1, baits[r] - 1
+                q = int(np.nonzero(seqs[r] == baits[r])[0][0])
+                for k, p in enumerate(windows[r]):
+                    if prob._symmetric:
+                        # exact cost change of the implied location swap
+                        swapped = seqs[r].copy()
+                        swapped[[p, q]] = swapped[[q, p]]
+                        expected = prob.fitness(swapped) - prob.fitness(seqs[r])
+                    else:
+                        expected = sum(
+                            f[p, j] * d[b, loc[j]] + f[j, p] * d[loc[j], b]
+                            for j in range(n)
+                        )
+                    assert costs[r, k] == pytest.approx(expected)
 
 
 class TestKnapsackDecode:
