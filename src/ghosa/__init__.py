@@ -8,7 +8,7 @@ oracles, GA/PSO baselines, and a seeded experiment harness.
 
 from .baselines import GeneticAlgorithmOptimizer, ParticleSwarmOptimizer
 from .continuous import ContinuousGhosaOptimizer
-from .engine import Agent, GhosaOptimizer, PopulationState, replace_worst
+from .engine import GhosaOptimizer
 from .harness import (
     ExperimentConfig,
     RunStats,
@@ -47,7 +47,6 @@ from .problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent",
     "BaitingCase",
     "BenchmarkFunction",
     "ContinuousAgent",
@@ -59,7 +58,6 @@ __all__ = [
     "KnapsackProblem",
     "LbnivParams",
     "ParticleSwarmOptimizer",
-    "PopulationState",
     "QapInstance",
     "QapProblem",
     "RoadNetwork",
@@ -78,7 +76,6 @@ __all__ = [
     "knapsack_profit",
     "lbniv_update",
     "qap_cost",
-    "replace_worst",
     "road_fitness",
     "run_experiment",
     "tsp_tour_length",

@@ -9,6 +9,8 @@ a trailing underscore.  No scikit-learn dependency is needed for that.
 from __future__ import annotations
 
 import inspect
+import itertools
+import math
 import numbers
 
 import numpy as np
@@ -47,9 +49,44 @@ class ParamMixin:
         return f"{type(self).__name__}({args})"
 
 
+class PopulationOptimizer(ParamMixin):
+    """The run protocol shared by every population optimizer.
+
+    A subclass implements ``_run(problem, rng)``: a generator that checks its
+    own parameters, keeps its best solution and final population as fitted
+    attributes, and yields the global best fitness after each iteration.
+    ``fit`` checks the budget, seeds ``rng`` from ``seed`` and takes at most
+    ``iterations`` values, stopping as soon as one reaches ``target`` in the
+    problem's ``sense``.  The generator is never resumed after the last one,
+    so the fitted attributes are those of the last traced iteration.  ``fit``
+    sets ``trace_``, ``best_fitness_``, ``n_iterations_`` and ``stopped_early_``.
+    """
+
+    #: smallest population the subclass's variation step works with
+    min_population = 1
+
+    def fit(self, problem):
+        check_int_at_least(self.population_size, self.min_population, "population_size")
+        check_int_at_least(self.iterations, 1, "iterations")
+        rng = check_random_state(self.seed)
+        sign = -1.0 if problem.sense == "max" else 1.0
+        trace: list[float] = []
+        stopped_early = False
+        for best in itertools.islice(self._run(problem, rng), self.iterations):
+            trace.append(best)
+            if self.target is not None and sign * best <= sign * self.target:
+                stopped_early = True
+                break
+        self.trace_ = np.asarray(trace)
+        self.best_fitness_ = trace[-1]
+        self.n_iterations_ = len(trace)
+        self.stopped_early_ = stopped_early
+        return self
+
+
 def check_number(value, name: str) -> float:
-    """``value`` as a float; anything but a real number is a ConfigError."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a float; anything but a finite real number is a ConfigError."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
 

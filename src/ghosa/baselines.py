@@ -11,16 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (
-    ParamMixin,
+    PopulationOptimizer,
     check_int_at_least,
     check_number,
     check_positive,
     check_probability,
-    check_random_state,
 )
 
 
-class ParticleSwarmOptimizer(ParamMixin):
+class ParticleSwarmOptimizer(PopulationOptimizer):
     """Global-best PSO over a bounded continuous problem."""
 
     def __init__(
@@ -43,13 +42,10 @@ class ParticleSwarmOptimizer(ParamMixin):
         self.target = target
         self.seed = seed
 
-    def fit(self, problem) -> "ParticleSwarmOptimizer":
-        check_int_at_least(self.population_size, 1, "population_size")
-        check_int_at_least(self.iterations, 1, "iterations")
+    def _run(self, problem, rng):
         check_number(self.inertia, "inertia")
         for name in ("cognitive", "social", "velocity_clamp"):
             check_positive(getattr(self, name), name, strict=False)
-        rng = check_random_state(self.seed)
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         span = hi - lo
         n, dim = self.population_size, problem.dim
@@ -64,9 +60,7 @@ class ParticleSwarmOptimizer(ParamMixin):
         gbest_x = pbest_x[gi].copy()
         gbest_f = float(pbest_f[gi])
 
-        trace = []
-        stopped_early = False
-        for _ in range(self.iterations):
+        while True:
             r1 = rng.random((n, dim))
             r2 = rng.random((n, dim))
             v = (
@@ -84,21 +78,15 @@ class ParticleSwarmOptimizer(ParamMixin):
             if pbest_f[gi] < gbest_f:
                 gbest_f = float(pbest_f[gi])
                 gbest_x = pbest_x[gi].copy()
-            trace.append(gbest_f)
-            if self.target is not None and gbest_f <= self.target:
-                stopped_early = True
-                break
-
-        self.best_x_ = gbest_x
-        self.best_fitness_ = gbest_f
-        self.trace_ = np.asarray(trace)
-        self.n_iterations_ = len(trace)
-        self.stopped_early_ = stopped_early
-        return self
+            self.best_x_ = gbest_x
+            yield gbest_f
 
 
-class GeneticAlgorithmOptimizer(ParamMixin):
+class GeneticAlgorithmOptimizer(PopulationOptimizer):
     """Real-coded generational GA with tournament selection and one elite."""
+
+    # blend crossover needs a pair of parents
+    min_population = 2
 
     def __init__(
         self,
@@ -120,15 +108,12 @@ class GeneticAlgorithmOptimizer(ParamMixin):
         self.target = target
         self.seed = seed
 
-    def fit(self, problem) -> "GeneticAlgorithmOptimizer":
-        check_int_at_least(self.population_size, 2, "population_size")
-        check_int_at_least(self.iterations, 1, "iterations")
+    def _run(self, problem, rng):
         check_probability(self.crossover_rate, "crossover_rate")
         if self.mutation_rate is not None:
             check_probability(self.mutation_rate, "mutation_rate")
         check_positive(self.mutation_scale, "mutation_scale", strict=False)
         check_int_at_least(self.tournament_size, 1, "tournament_size")
-        rng = check_random_state(self.seed)
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         span = hi - lo
         n, dim = self.population_size, problem.dim
@@ -140,9 +125,7 @@ class GeneticAlgorithmOptimizer(ParamMixin):
         gbest_x = x[gi].copy()
         gbest_f = float(fit[gi])
 
-        trace = []
-        stopped_early = False
-        for _ in range(self.iterations):
+        while True:
             # tournament selection of n parents
             entrants = rng.integers(0, n, size=(n, self.tournament_size))
             winners = entrants[np.arange(n), np.argmin(fit[entrants], axis=1)]
@@ -178,14 +161,5 @@ class GeneticAlgorithmOptimizer(ParamMixin):
             if fit[gi] < gbest_f:
                 gbest_f = float(fit[gi])
                 gbest_x = x[gi].copy()
-            trace.append(gbest_f)
-            if self.target is not None and gbest_f <= self.target:
-                stopped_early = True
-                break
-
-        self.best_x_ = gbest_x
-        self.best_fitness_ = gbest_f
-        self.trace_ = np.asarray(trace)
-        self.n_iterations_ = len(trace)
-        self.stopped_early_ = stopped_early
-        return self
+            self.best_x_ = gbest_x
+            yield gbest_f

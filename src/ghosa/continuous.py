@@ -14,11 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (
-    ParamMixin,
+    PopulationOptimizer,
     check_case_probabilities,
-    check_int_at_least,
     check_probability,
-    check_random_state,
     check_replace_fraction,
     check_window_fraction,
 )
@@ -35,12 +33,13 @@ from .operators import apply_cases, rotate_segments
 EPS_CAP = 1e12
 
 
-class ContinuousGhosaOptimizer(ParamMixin):
+class ContinuousGhosaOptimizer(PopulationOptimizer):
     """Swarm optimizer for bounded continuous problems.
 
     ``eps0``, ``k`` and ``bias`` parameterize the adaptive variation;
     the remaining knobs mirror the discrete engine.  After ``fit(problem)``
-    results are in ``best_x_``, ``best_fitness_``, ``trace_``.
+    results are in ``best_x_``, ``best_fitness_``, ``trace_``, and the final
+    population in ``population_x_`` and ``population_fitness_``.
     """
 
     def __init__(
@@ -89,16 +88,13 @@ class ContinuousGhosaOptimizer(ParamMixin):
             + self.bias
         )
 
-    def fit(self, problem) -> "ContinuousGhosaOptimizer":
-        check_int_at_least(self.population_size, 1, "population_size")
-        check_int_at_least(self.iterations, 1, "iterations")
+    def _run(self, problem, rng):
         check_probability(self.swarm_rate, "swarm_rate")
         LbnivParams(k=self.k, bias=self.bias, eps0=self.eps0)  # checks k and eps0
         case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
         check_window_fraction(self.window_fraction)
         check_replace_fraction(self.replace_fraction)
 
-        rng = check_random_state(self.seed)
         dim = problem.dim
         n_agents = self.population_size
         bounds = problem.bounds
@@ -121,11 +117,9 @@ class ContinuousGhosaOptimizer(ParamMixin):
             window = np.arange(wlen)  # offset drawn per iteration
 
         windowed = len(window) < dim
-        trace: list[float] = []
-        stopped_early = False
         replace_count = int(self.replace_fraction * n_agents // 100)
 
-        for iteration in range(1, self.iterations + 1):
+        while True:
             cases = rng.choice(3, size=n_agents, p=case_p)
             rotate = rng.random(n_agents) < self.swarm_rate
             bait_u = rng.random(n_agents)
@@ -193,16 +187,6 @@ class ContinuousGhosaOptimizer(ParamMixin):
                     best_f = float(fitness[bi])
                     best_x = x[bi].copy()
 
-            trace.append(best_f)
-            if self.target is not None and best_f <= self.target:
-                stopped_early = True
-                break
-
-        self.best_x_ = best_x
-        self.best_fitness_ = best_f
-        self.trace_ = np.asarray(trace)
-        self.n_iterations_ = len(trace)
-        self.stopped_early_ = stopped_early
-        self.population_x_ = x
-        self.population_fitness_ = fitness
-        return self
+            self.best_x_ = best_x
+            self.population_x_, self.population_fitness_ = x, fitness
+            yield best_f

@@ -10,16 +10,13 @@ re-randomized.  The recorded global best never worsens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .base import (
-    ParamMixin,
+    PopulationOptimizer,
     check_case_probabilities,
     check_int_at_least,
     check_probability,
-    check_random_state,
     check_replace_fraction,
     check_window_fraction,
 )
@@ -30,54 +27,7 @@ _BASE_COMPONENT_VALUES = SequenceProblem.component_values
 _BASE_PLACEMENT_COST = SequenceProblem.placement_cost
 
 
-@dataclass
-class Agent:
-    """One candidate: event string plus its fitness."""
-
-    sequence: np.ndarray
-    fitness: float
-
-
-@dataclass
-class PopulationState:
-    """Mutable population snapshot the engine advances iteration by iteration."""
-
-    sequences: np.ndarray
-    fitness: np.ndarray
-    global_best: Agent
-    iteration: int = 0
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
-
-    def update_best(self, sign: float) -> bool:
-        """Take the best agent as the global best if it beats it strictly."""
-        bi = int(np.argmin(sign * self.fitness))
-        if sign * self.fitness[bi] < sign * self.global_best.fitness:
-            self.global_best = Agent(self.sequences[bi].copy(), float(self.fitness[bi]))
-            return True
-        return False
-
-
-def replace_worst(state: PopulationState, fraction: float, problem) -> PopulationState:
-    """Re-randomize the floor(fraction% * N) worst agents in place.
-
-    The recorded global best is untouched; fresh agents are evaluated
-    immediately so the state stays consistent.
-    """
-    check_replace_fraction(fraction)
-    n_agents = len(state.sequences)
-    count = int(fraction * n_agents // 100)
-    if count == 0:
-        return state
-    sign = -1.0 if problem.sense == "max" else 1.0
-    order = np.argsort(sign * state.fitness, kind="stable")
-    worst = order[n_agents - count :]
-    fresh = problem.initial_population(state.rng, count)
-    state.sequences[worst] = fresh
-    state.fitness[worst] = problem.batch_fitness(fresh)
-    return state
-
-
-class GhosaOptimizer(ParamMixin):
+class GhosaOptimizer(PopulationOptimizer):
     """Discrete swarm optimizer with an estimator-style interface.
 
     Parameters mirror the operator knobs: the three baiting-case weights,
@@ -88,8 +38,9 @@ class GhosaOptimizer(ParamMixin):
     is known); ``seed`` makes the whole run reproducible.
 
     After ``fit(problem)`` the result lives in ``best_sequence_``,
-    ``best_fitness_`` and the per-iteration ``trace_``.  ``evaluations_``
-    counts every row scored, including the re-scores of dynamic problems.
+    ``best_fitness_`` and the per-iteration ``trace_``, the final population
+    in ``population_`` and ``population_fitness_``.  ``evaluations_`` counts
+    every row scored, including the re-scores of dynamic problems.
     """
 
     def __init__(
@@ -118,9 +69,7 @@ class GhosaOptimizer(ParamMixin):
         self.target = target
         self.seed = seed
 
-    def fit(self, problem) -> "GhosaOptimizer":
-        check_int_at_least(self.population_size, 1, "population_size")
-        check_int_at_least(self.iterations, 1, "iterations")
+    def _run(self, problem, rng):
         check_probability(self.swarm_rate, "swarm_rate")
         case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
         check_window_fraction(self.window_fraction)
@@ -128,27 +77,26 @@ class GhosaOptimizer(ParamMixin):
             check_int_at_least(self.max_shift, 1, "max_shift")
         check_replace_fraction(self.replace_fraction)
 
-        rng = check_random_state(self.seed)
         n = problem.dimension
         n_agents = self.population_size
         sign = -1.0 if problem.sense == "max" else 1.0
         dynamic = getattr(problem, "dynamic", False)
+        replace_count = int(self.replace_fraction * n_agents // 100)
 
         problem.prepare_iteration(rng)
         sequences = problem.initial_population(rng, n_agents)
         fitness = np.asarray(problem.batch_fitness(sequences), dtype=float)
-        evaluations = len(sequences)
+        self.evaluations_ = len(sequences)
 
         best_i = int(np.argmin(sign * fitness))
-        gbest = Agent(sequences[best_i].copy(), float(fitness[best_i]))
-        state = PopulationState(sequences, fitness, gbest, 0, rng)
+        best_sequence, best_fitness = sequences[best_i].copy(), float(fitness[best_i])
 
         track_components = (
             type(problem).component_values is not _BASE_COMPONENT_VALUES
         )
-        components: list[dict] = []
+        self.trace_components_ = [] if track_components else None
         last_components = (
-            problem.component_values(gbest.sequence) if track_components else None
+            problem.component_values(best_sequence) if track_components else None
         )
 
         bait_counts = np.zeros(n)
@@ -159,17 +107,11 @@ class GhosaOptimizer(ParamMixin):
             type(problem).placement_cost is not _BASE_PLACEMENT_COST
         )
 
-        trace: list[float] = []
-        stopped_early = False
-        signed_target = None if self.target is None else sign * self.target
-
-        for iteration in range(1, self.iterations + 1):
+        while True:
             problem.prepare_iteration(rng)
             if dynamic:
-                state.fitness = np.asarray(
-                    problem.batch_fitness(state.sequences), dtype=float
-                )
-                evaluations += n_agents
+                fitness = np.asarray(problem.batch_fitness(sequences), dtype=float)
+                self.evaluations_ += n_agents
 
             weights = 1.0 / (1.0 + bait_counts)
             baits = rng.choice(n, size=n_agents, p=weights / weights.sum()) + 1
@@ -184,7 +126,7 @@ class GhosaOptimizer(ParamMixin):
 
             if has_heuristic:
                 windows = starts[:, None] + np.arange(window_len)
-                costs = problem.placement_cost(state.sequences, baits, windows)
+                costs = problem.placement_cost(sequences, baits, windows)
                 positions = starts + np.argmin(costs, axis=1)
             else:
                 positions = starts + fallback
@@ -204,43 +146,42 @@ class GhosaOptimizer(ParamMixin):
                     cap = min(cap, self.max_shift)
                 segments.append((start, stop, int(rng.integers(1, cap + 1))))
             segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
-            rotated = state.sequences.copy()
+            rotated = sequences.copy()
             rotated[rotating] = rotate_segments(rotated[rotating], *segments.T)
             candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)
 
             cand_fitness = np.asarray(problem.batch_fitness(candidates), dtype=float)
-            evaluations += n_agents
-            improved = sign * cand_fitness < sign * state.fitness
-            state.sequences[improved] = candidates[improved]
-            state.fitness[improved] = cand_fitness[improved]
+            self.evaluations_ += n_agents
+            improved = sign * cand_fitness < sign * fitness
+            sequences[improved] = candidates[improved]
+            fitness[improved] = cand_fitness[improved]
 
-            new_best = state.update_best(sign)
-            replace_worst(state, self.replace_fraction, problem)
-            evaluations += int(self.replace_fraction * n_agents // 100)
-            new_best = state.update_best(sign) or new_best
-            if new_best and track_components:
-                got = problem.component_values(state.global_best.sequence)
-                if got is not None:
-                    last_components = got
+            # the global best is taken before and after the worst agents are
+            # re-randomized, so it never worsens; ties keep the older best
+            previous_best = best_sequence
+            bi = int(np.argmin(sign * fitness))
+            if sign * fitness[bi] < sign * best_fitness:
+                best_sequence, best_fitness = sequences[bi].copy(), float(fitness[bi])
+            if replace_count:
+                order = np.argsort(sign * fitness, kind="stable")
+                worst = order[n_agents - replace_count :]
+                fresh = problem.initial_population(rng, replace_count)
+                sequences[worst] = fresh
+                fitness[worst] = problem.batch_fitness(fresh)
+                self.evaluations_ += replace_count
+                bi = int(np.argmin(sign * fitness))
+                if sign * fitness[bi] < sign * best_fitness:
+                    best_sequence, best_fitness = sequences[bi].copy(), float(fitness[bi])
 
-            state.iteration = iteration
-            trace.append(state.global_best.fitness)
             if track_components:
+                if best_sequence is not previous_best:
+                    got = problem.component_values(best_sequence)
+                    if got is not None:
+                        last_components = got
                 # None until the first decodable global best appears
-                components.append(
+                self.trace_components_.append(
                     dict(last_components) if last_components is not None else None
                 )
-            if signed_target is not None and sign * state.global_best.fitness <= signed_target:
-                stopped_early = True
-                break
-
-        self.state_ = state
-        self.best_sequence_ = state.global_best.sequence
-        self.best_fitness_ = state.global_best.fitness
-        self.trace_ = np.asarray(trace)
-        self.trace_components_ = components if track_components else None
-        self.n_iterations_ = state.iteration
-        self.evaluations_ = evaluations
-        self.stopped_early_ = stopped_early
-        return self
-
+            self.best_sequence_ = best_sequence
+            self.population_, self.population_fitness_ = sequences, fitness
+            yield best_fitness

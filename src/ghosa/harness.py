@@ -258,11 +258,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
         for name, value in _make_optimizer(cfg, None).get_params().items()
         if name not in SHARED_PARAMS
     }
-    sense = getattr(problem, "sense", "min")
     stats = aggregate_stats(
         [r["best_fitness"] for r in runs],
         best_known=getattr(problem, "best_known", None),
-        sense=sense,
+        sense=problem.sense,
     )
     report = {
         "problem": problem.describe(),
@@ -343,8 +342,6 @@ def export_report(stats: RunStats, results: dict, fmt: str, out) -> list[Path]:
         json_path.write_text(json.dumps(report, indent=2, default=_jsonify))
         written.append(json_path)
         for run in results["runs"]:
-            if len(run["trace"]) == 0:
-                continue
             for name, values in _trace_series(run).items():
                 suffix = "" if name == "total" else f".{name}"
                 tpath = out.with_name(f"{out.stem}.run{run['seed']}{suffix}.trace")

@@ -63,14 +63,14 @@ class _Tokens:
         self.pos += 1
         return tok
 
-    def next_int(self, what: str, error=None) -> int:
+    def next_int(self, what: str) -> int:
         tok = self.next_str(what)
         try:
             return int(tok)
         except ValueError as exc:
             raise NonNumericToken(f"expected integer for {what}, got {tok!r}") from exc
 
-    def next_float(self, what: str, error=None) -> float:
+    def next_float(self, what: str) -> float:
         tok = self.next_str(what)
         try:
             return float(tok)

@@ -92,10 +92,10 @@ class KnapsackProblem(SequenceProblem):
         self.threshold_policy = threshold_policy
         self._threshold = max(1, instance.n // 2)
         if threshold_policy.startswith("fixed:"):
-            k = int(threshold_policy.split(":", 1)[1])
-            if not 1 <= k <= instance.n:
-                raise ThresholdOutOfRange(f"fixed threshold {k} outside 1..{instance.n}")
-            self._threshold = k
+            k = threshold_policy.split(":", 1)[1]
+            if not k.isdecimal() or not 1 <= int(k) <= instance.n:
+                raise ConfigError(f"fixed threshold {k!r} is not an integer in 1..{instance.n}")
+            self._threshold = int(k)
         elif threshold_policy not in ("sweep", "random"):
             raise ConfigError(f"unknown threshold policy {threshold_policy!r}")
         self.dynamic = threshold_policy == "random"

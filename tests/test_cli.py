@@ -96,25 +96,48 @@ def test_bad_param_value_exits_one(capsys):
     assert "run 0 (seed 0)" in err
 
 
+F6 = ("--problem", "benchmark", "--instance", "f6")
+TSP = ("--problem", "tsp", "--instance", f"{FIXTURES}/ulysses16.tsp")
+NON_NUMERIC = [
+    ("GHOSA", "swarm_rate=abc", F6),
+    ("GHOSA", "replace_fraction=abc", F6),
+    ("GHOSA", "k=abc", F6),
+    ("PSO", "inertia=abc", F6),
+    ("PSO", "velocity_clamp=abc", F6),
+    ("GA", "mutation_rate=abc", F6),
+    ("GA", "mutation_scale=abc", F6),
+    ("GHOSA", "k=NaN", F6),
+    ("GHOSA", "bias=NaN", F6),
+    ("GHOSA", "eps0=NaN", F6),
+    ("GHOSA", "p_miss=NaN", F6),
+    ("PSO", "inertia=NaN", F6),
+    ("GHOSA", "max_shift=Infinity", TSP),
+]
+
+
 @pytest.mark.parametrize(
-    "algo, param",
-    [
-        ("GHOSA", "swarm_rate=abc"),
-        ("GHOSA", "replace_fraction=abc"),
-        ("GHOSA", "k=abc"),
-        ("PSO", "inertia=abc"),
-        ("PSO", "velocity_clamp=abc"),
-        ("GA", "mutation_rate=abc"),
-        ("GA", "mutation_scale=abc"),
-    ],
+    "algo, param, problem", NON_NUMERIC, ids=[f"{a}-{p}" for a, p, _ in NON_NUMERIC]
 )
-def test_non_numeric_param_exits_one(capsys, algo, param):
+def test_non_numeric_param_exits_one(capsys, algo, param, problem):
+    # NaN and infinity are read from the JSON literal but are no usable setting
     code, _, err = run_cli(
-        capsys, "run", "--problem", "benchmark", "--instance", "f6", "--algo", algo,
+        capsys, "run", *problem, "--algo", algo,
         "--runs", "1", "--iters", "2", "--param", param,
     )
     assert code == 1
     assert "must be a number" in err
+
+
+@pytest.mark.parametrize("policy", ["fixed:abc", "fixed:0", "fixed:5", "bogus"])
+def test_bad_threshold_policy_exits_one(capsys, tmp_path, policy):
+    knapsack = tmp_path / "mknap.txt"
+    knapsack.write_text("1\n4 2 0\n10 20 30 40\n1 2 3 4\n4 3 2 1\n5 5\n")
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "knapsack", "--instance", str(knapsack),
+        "--runs", "1", "--iters", "2", "--threshold-policy", policy,
+    )
+    assert code == 1
+    assert "threshold" in err
 
 
 def test_param_reaches_optimizer_and_report(capsys, tmp_path):

@@ -5,14 +5,11 @@ import pytest
 
 from conftest import random_knapsack, random_qap, random_roadnet, random_tsp
 from ghosa import (
-    Agent,
     GhosaOptimizer,
     KnapsackProblem,
-    PopulationState,
     QapProblem,
     RoadNetworkProblem,
     TspProblem,
-    replace_worst,
     tsp_tour_length,
 )
 from ghosa.base import (
@@ -51,49 +48,77 @@ class FlatCostProblem(ConstantProblem):
         return np.zeros(positions.shape)
 
 
+def record_calls(problem):
+    """Wrap ``problem`` so every scored batch and its fitness are kept."""
+    scored, values = [], []
+    batch_fitness = problem.batch_fitness
+
+    def recorded(sequences):
+        scored.append(np.array(sequences))
+        values.append(np.array(batch_fitness(sequences), dtype=float))
+        return values[-1].copy()  # the engine updates its fitness in place
+
+    problem.batch_fitness = recorded
+    return scored, values
+
+
 class TestReplaceWorst:
-    def _state(self, problem, rng, count=10):
-        seqs = problem.initial_population(rng, count)
-        fits = problem.batch_fitness(seqs)
-        best_i = int(np.argmin(fits))
-        return PopulationState(seqs, fits, Agent(seqs[best_i].copy(), float(fits[best_i])), rng=rng)
+    """The worst-agent replacement, observed through ``fit``."""
 
     def test_zero_fraction_changes_nothing(self, rng):
+        # no fresh rows: each iteration scores only its N candidates, and
+        # every agent holds either its old string or its candidate
         prob = TspProblem(random_tsp(rng, n=6))
-        state = self._state(prob, rng)
-        before = state.sequences.copy()
-        replace_worst(state, 0.0, prob)
-        assert np.array_equal(state.sequences, before)
+        scored, values = record_calls(prob)
+        opt = GhosaOptimizer(
+            population_size=10, iterations=1, replace_fraction=0.0, seed=2
+        ).fit(prob)
+        assert [len(rows) for rows in scored] == [10, 10]
+        kept = opt.population_fitness_ == values[0]
+        assert np.array_equal(opt.population_[kept], scored[0][kept])
+        assert np.array_equal(opt.population_[~kept], scored[1][~kept])
 
     def test_exact_replacement_count(self, rng):
-        # n large enough that a fresh permutation colliding with the old row
-        # is effectively impossible, so exactly floor(10% * 50) = 5 rows move
-        prob = TspProblem(random_tsp(rng, n=50))
-        seqs = prob.initial_population(rng, 50)
-        fits = prob.batch_fitness(seqs)
-        state = PopulationState(seqs, fits.copy(), Agent(seqs[0].copy(), float(fits[0])), rng=rng)
-        before = state.sequences.copy()
-        replace_worst(state, 10.0, prob)
-        refreshed = {
-            i for i in range(50) if not np.array_equal(state.sequences[i], before[i])
-        }
-        assert len(refreshed) == 5
-        assert refreshed == set(np.argsort(fits, kind="stable")[-5:])
-        for row in state.sequences:
-            assert sorted(row.tolist()) == list(range(1, 51))
+        # floor(10% * 48) = 4 rows are redrawn: the last 4 of the stable sort
+        # of the accepted population, worst last in the problem's sense
+        for prob in (
+            TspProblem(random_tsp(rng, n=50)),
+            KnapsackProblem(random_knapsack(rng, m=2, n=50)),
+            ConstantProblem(n=50),  # all ties: the last 4 rows go
+        ):
+            sign = -1.0 if prob.sense == "max" else 1.0
+            scored, values = record_calls(prob)
+            opt = GhosaOptimizer(population_size=48, iterations=1, seed=4).fit(prob)
+            (initial, candidates, fresh), (f0, f1, f2) = scored, values
+            improved = sign * f1 < sign * f0
+            expected = np.where(improved[:, None], candidates, initial)
+            expected_fitness = np.where(improved, f1, f0)
+            worst = np.argsort(sign * expected_fitness, kind="stable")[-4:]
+            expected[worst] = fresh
+            expected_fitness[worst] = f2
+            assert len(fresh) == 4
+            assert np.array_equal(opt.population_, expected)
+            assert np.array_equal(opt.population_fitness_, expected_fitness)
+            for row in fresh:
+                assert sorted(row.tolist()) == list(range(1, 51))
 
     def test_global_best_untouched(self, rng):
-        prob = TspProblem(random_tsp(rng, n=6))
-        state = self._state(prob, rng, count=10)
-        best_before = state.global_best.fitness
-        replace_worst(state, 50.0, prob)
-        assert state.global_best.fitness == best_before
-
-    def test_fraction_validation(self, rng):
-        prob = TspProblem(random_tsp(rng, n=5))
-        state = self._state(prob, rng, count=4)
-        with pytest.raises(ConfigError):
-            replace_worst(state, 100.0, prob)
+        # half the population is redrawn every iteration, yet the global
+        # best after each iteration is the best row scored so far (the
+        # initial rows, then candidates and fresh rows of each iteration)
+        for prob in (
+            TspProblem(random_tsp(rng, n=6)),
+            KnapsackProblem(random_knapsack(rng, m=2, n=8)),
+        ):
+            best = max if prob.sense == "max" else min
+            scored, values = record_calls(prob)
+            opt = GhosaOptimizer(
+                population_size=10, iterations=30, replace_fraction=50.0, seed=6
+            ).fit(prob)
+            so_far = [best(np.concatenate(values[: 3 + 2 * i])) for i in range(30)]
+            assert np.array_equal(opt.trace_, so_far)
+            best_row = opt.best_sequence_[None, :]
+            assert prob.batch_fitness(best_row)[0] == opt.best_fitness_
 
 
 class TestOptimize:
@@ -156,7 +181,7 @@ class TestOptimize:
     def test_population_stays_permutations(self, rng):
         prob = QapProblem(random_qap(rng, n=7))
         opt = GhosaOptimizer(population_size=10, iterations=150, seed=1).fit(prob)
-        for row in opt.state_.sequences:
+        for row in opt.population_:
             assert sorted(row.tolist()) == list(range(1, 8))
 
     def test_target_stops_early(self, rng):
@@ -204,7 +229,7 @@ class TestOptimize:
         long = GhosaOptimizer(
             population_size=8, iterations=120, replace_fraction=0.0, seed=21
         ).fit(prob)
-        assert np.all(long.state_.fitness <= short.state_.fitness + 1e-12)
+        assert np.all(long.population_fitness_ <= short.population_fitness_ + 1e-12)
 
 
 class TestEvaluationCount:
