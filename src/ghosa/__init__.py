@@ -19,7 +19,6 @@ from .harness import (
 from .lbniv import (
     ContinuousAgent,
     LbnivParams,
-    clamp_to_bounds,
     lbniv_update,
     update_d,
     update_epsilon,
@@ -69,7 +68,6 @@ __all__ = [
     "attracting_prey_swarms",
     "baiting",
     "benchmark_function",
-    "clamp_to_bounds",
     "eval_benchmark",
     "export_report",
     "knapsack_decode",

@@ -6,28 +6,26 @@ Exit codes: 0 success, 1 configuration error, 2 instance/parse error,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
 import click
+import numpy as np
 
 from .errors import ConfigError, GhosaError, InstanceError, TooLarge
-from .harness import ExperimentConfig, resolve_instance_path, run_experiment
-from .ingest import load_instance
-from .oracles import (
-    OracleCache,
-    brute_force_qap,
-    brute_force_tsp,
-    exact_knapsack,
-    exact_shortest_paths,
+from .harness import (
+    ALGORITHMS,
+    ORACLES,
+    PROBLEM_KINDS,
+    ExperimentConfig,
+    load_payload,
+    run_experiment,
 )
+from .oracles import OracleCache
 
-_FMT_BY_KIND = {
-    "tsp": "TSPLIB",
-    "qap": "QAPLIB",
-    "knapsack": "ORLIB_MKNAP",
-    "roadnet": "ROADNET",
-}
+#: the CLI options take their defaults from the experiment config
+_DEFAULT = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 @click.group()
@@ -36,10 +34,9 @@ def main():
 
 
 def _problem_options(fn):
-    fn = click.option("--problem", required=True,
-                      type=click.Choice(["tsp", "qap", "knapsack", "roadnet", "benchmark"]),
+    fn = click.option("--problem", required=True, type=click.Choice(PROBLEM_KINDS),
                       help="Problem family.")(fn)
-    fn = click.option("--instance", default=None,
+    fn = click.option("--instance", default=_DEFAULT["instance"],
                       help="Instance file path (or benchmark id f1..f25).")(fn)
     return fn
 
@@ -59,45 +56,36 @@ def _parse_params(pairs) -> dict:
 
 @main.command()
 @_problem_options
-@click.option("--algo", default="GHOSA", type=click.Choice(["GHOSA", "GA", "PSO"]))
-@click.option("--iters", default=25000, show_default=True, help="Iteration budget per run.")
-@click.option("--pop", default=50, show_default=True, help="Population size.")
-@click.option("--runs", default=10, show_default=True, help="Independent seeded runs.")
-@click.option("--seed", default=0, show_default=True, help="Base seed; run i uses seed+i.")
-@click.option("--threshold-policy", default="sweep", show_default=True,
+@click.option("--algo", "algorithm", default=_DEFAULT["algorithm"],
+              type=click.Choice(ALGORITHMS))
+@click.option("--iters", "iterations", default=_DEFAULT["iterations"], show_default=True,
+              help="Iteration budget per run.")
+@click.option("--pop", "population", default=_DEFAULT["population"], show_default=True,
+              help="Population size.")
+@click.option("--runs", default=_DEFAULT["runs"], show_default=True,
+              help="Independent seeded runs.")
+@click.option("--seed", "seed_base", default=_DEFAULT["seed_base"], show_default=True,
+              help="Base seed; run i uses seed+i.")
+@click.option("--threshold-policy", default=_DEFAULT["threshold_policy"], show_default=True,
               help="Knapsack decode policy: sweep, random, or fixed:K.")
-@click.option("--metric-override", default=None,
+@click.option("--metric-override", default=_DEFAULT["metric_override"],
               help="Force a TSP metric (e.g. 'euclid' for raw coordinates).")
-@click.option("--dim", default=None, type=int,
+@click.option("--dim", default=_DEFAULT["dim"], type=int,
               help="Benchmark dimension, or 1-based instance index in knapsack bundles.")
-@click.option("--target", default=None, type=float,
+@click.option("--target", default=_DEFAULT["target"], type=float,
               help="Stop a run once the global best reaches this fitness.")
 @click.option("--param", "params", multiple=True, metavar="KEY=VALUE",
               help="Optimizer parameter (repeatable), e.g. swarm_rate=0.5. "
                    "VALUE is read as JSON, else kept as a string.")
-@click.option("--out", default=None, help="Report stem; writes <out>.csv/.json + traces.")
-@click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]))
-@click.option("--workers", default=1, show_default=True, help="Parallel run workers.")
-def run(problem, instance, algo, iters, pop, runs, seed,
-        threshold_policy, metric_override, dim, target, params, out, fmt, workers):
+@click.option("--out", default=_DEFAULT["out"],
+              help="Report stem; writes <out>.csv/.json + traces.")
+@click.option("--format", "format", default=_DEFAULT["format"],
+              type=click.Choice(["csv", "json"]))
+@click.option("--workers", default=_DEFAULT["workers"], show_default=True,
+              help="Parallel run workers.")
+def run(params, **options):
     """Run repeated seeded optimizations and report aggregate statistics."""
-    cfg = ExperimentConfig(
-        problem=problem,
-        instance=instance,
-        dim=dim,
-        algorithm=algo,
-        runs=runs,
-        iterations=iters,
-        population=pop,
-        seed_base=seed,
-        target=target,
-        params=_parse_params(params),
-        threshold_policy=threshold_policy,
-        metric_override=metric_override,
-        out=out,
-        format=fmt,
-        workers=workers,
-    )
+    cfg = ExperimentConfig(params=_parse_params(params), **options)
     stats, results = run_experiment(cfg)
     info = results["report"]["problem"]
     click.echo(
@@ -106,42 +94,29 @@ def run(problem, instance, algo, iters, pop, runs, seed,
         f"best={stats.best:.6g} worst={stats.worst:.6g}"
         + (f" error%={stats.error_percent:.4g}" if stats.error_percent is not None else "")
     )
-    if out:
-        click.echo(f"report written to {out}.{fmt} (+ traces)")
+    if cfg.out:
+        click.echo(f"report written to {cfg.out}.{cfg.format} (+ traces)")
 
 
 @main.command()
 @_problem_options
-@click.option("--dim", default=None, type=int,
+@click.option("--dim", default=_DEFAULT["dim"], type=int,
               help="1-based instance index in knapsack bundles.")
 @click.option("--cache", default=None, help="Oracle cache file (checksum -> optimum).")
 def oracle(problem, instance, dim, cache):
     """Exactly solve a small instance and print the optimum."""
-    if problem == "benchmark":
-        raise ConfigError("oracle applies to instance files, not benchmark functions")
-    if not instance:
-        raise ConfigError("oracle requires --instance")
-    record = load_instance(resolve_instance_path(instance), _FMT_BY_KIND[problem])
+    _, payload, key = load_payload(problem, instance, dim)
     store = OracleCache(cache) if cache else None
     if store is not None:
-        hit = store.get(record.checksum)
+        hit = store.get(key)
         if hit is not None:
             click.echo(f"optimum {hit!r} (cached)")
             return
-    payload = record.payload
-    if problem == "tsp":
-        result = brute_force_tsp(payload)
-    elif problem == "qap":
-        result = brute_force_qap(payload)
-    elif problem == "knapsack":
-        payload = payload[(dim or 1) - 1]
-        result = exact_knapsack(payload)
-    else:
-        result = exact_shortest_paths(payload)
+    result = ORACLES[problem](payload)
     if store is not None:
-        store.put(record.checksum, result.optimum)
+        store.put(key, result.optimum)
     click.echo(f"optimum {result.optimum!r}")
-    click.echo(f"optimizer {list(result.optimizer)}")
+    click.echo(f"optimizer {np.asarray(result.optimizer).tolist()}")
     click.echo(f"states explored {result.nodes_explored}")
 
 
@@ -149,11 +124,7 @@ def oracle(problem, instance, dim, cache):
 @_problem_options
 def parse_check(problem, instance):
     """Parse and validate an instance file, printing a summary."""
-    if problem == "benchmark":
-        raise ConfigError("parse-check applies to instance files")
-    if not instance:
-        raise ConfigError("parse-check requires --instance")
-    record = load_instance(resolve_instance_path(instance), _FMT_BY_KIND[problem])
+    record, _, _ = load_payload(problem, instance)
     payload = record.payload
     click.echo(f"format {record.format}")
     click.echo(f"checksum {record.checksum}")

@@ -25,6 +25,7 @@ from .continuous import ContinuousGhosaOptimizer
 from .engine import GhosaOptimizer
 from .errors import ConfigError, EmptyInput, GhosaError, IoFailure
 from .ingest import load_instance
+from .oracles import brute_force_qap, brute_force_tsp, exact_knapsack, exact_shortest_paths
 from .problems import (
     KnapsackProblem,
     QapProblem,
@@ -32,12 +33,26 @@ from .problems import (
     TspProblem,
     benchmark_function,
 )
+from .problems.tsp import SUPPORTED_METRICS
 
 DATA_DIR_ENV = "GHOSA_DATA_DIR"
 
 CSV_COLUMNS = ("name", "dim", "optimum", "mean", "sd", "best", "worst", "error")
 
-PROBLEM_KINDS = ("tsp", "qap", "knapsack", "roadnet", "benchmark")
+#: ingest format and exact oracle of each problem kind that reads an instance file
+INSTANCE_FORMATS = {
+    "tsp": "TSPLIB",
+    "qap": "QAPLIB",
+    "knapsack": "ORLIB_MKNAP",
+    "roadnet": "ROADNET",
+}
+ORACLES = {
+    "tsp": brute_force_tsp,
+    "qap": brute_force_qap,
+    "knapsack": exact_knapsack,
+    "roadnet": exact_shortest_paths,
+}
+PROBLEM_KINDS = (*INSTANCE_FORMATS, "benchmark")
 ALGORITHMS = ("GHOSA", "GA", "PSO")
 BASELINES = {"GA": GeneticAlgorithmOptimizer, "PSO": ParticleSwarmOptimizer}
 #: parameters every optimizer takes; the harness sets them from the experiment
@@ -156,6 +171,30 @@ def resolve_instance_path(path_str: str) -> Path:
     return p
 
 
+def load_payload(kind: str, instance: str | None, dim: int | None = None):
+    """Read the instance a file-backed problem kind works on.
+
+    Returns the file's record, the selected instance (``dim`` is the 1-based
+    index into a knapsack bundle, default 1) and that instance's oracle cache
+    key: the file checksum, plus ``#k`` for instance k of a bundle of several.
+    """
+    if kind not in INSTANCE_FORMATS:
+        raise ConfigError(f"{kind} problems take no instance file")
+    if not instance:
+        raise ConfigError(f"{kind} problems need an instance path")
+    record = load_instance(resolve_instance_path(instance), INSTANCE_FORMATS[kind])
+    if kind != "knapsack":
+        return record, record.payload, record.checksum
+    bundle = record.payload
+    index = 1 if dim is None else dim
+    if not 1 <= index <= len(bundle):
+        raise ConfigError(
+            f"file holds {len(bundle)} instances; dim selects 1-based index, got {index}"
+        )
+    key = record.checksum if len(bundle) == 1 else f"{record.checksum}#{index}"
+    return record, bundle[index - 1], key
+
+
 def build_problem(cfg: ExperimentConfig):
     """Instantiate the problem adapter an experiment runs against."""
     kind = cfg.problem
@@ -163,31 +202,19 @@ def build_problem(cfg: ExperimentConfig):
         if not cfg.instance:
             raise ConfigError("benchmark problems need a function id (f1..f25)")
         return benchmark_function(cfg.instance, cfg.dim)
-    if not cfg.instance:
-        raise ConfigError(f"{kind} problems need an instance path")
-    path = resolve_instance_path(cfg.instance)
+    metric = cfg.metric_override
+    if kind == "tsp" and metric:
+        metric = "EUCLID_RAW" if metric.lower() in ("euclid", "euclidean") else metric.upper()
+        if metric not in SUPPORTED_METRICS:
+            raise ConfigError(f"metric override {cfg.metric_override!r} not supported")
+    _, payload, _ = load_payload(kind, cfg.instance, cfg.dim)
     if kind == "tsp":
-        record = load_instance(path, "TSPLIB")
-        inst = record.payload
-        if cfg.metric_override:
-            metric = "EUCLID_RAW" if cfg.metric_override.lower() in ("euclid", "euclidean") else cfg.metric_override.upper()
-            inst = inst.with_metric(metric)
-        return TspProblem(inst)
+        return TspProblem(payload.with_metric(metric) if metric else payload)
     if kind == "qap":
-        return QapProblem(load_instance(path, "QAPLIB").payload)
+        return QapProblem(payload)
     if kind == "knapsack":
-        instances = load_instance(path, "ORLIB_MKNAP").payload
-        index = (cfg.dim or 1) - 1
-        if not 0 <= index < len(instances):
-            raise ConfigError(
-                f"file holds {len(instances)} instances; dim selects 1-based index"
-            )
-        return KnapsackProblem(instances[index], threshold_policy=cfg.threshold_policy)
-    if kind == "roadnet":
-        return RoadNetworkProblem(
-            load_instance(path, "ROADNET").payload, awt_noise=cfg.awt_noise
-        )
-    raise ConfigError(f"unknown problem kind {kind!r}")
+        return KnapsackProblem(payload, threshold_policy=cfg.threshold_policy)
+    return RoadNetworkProblem(payload, awt_noise=cfg.awt_noise)
 
 
 def _make_optimizer(cfg: ExperimentConfig, seed: int | None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import check_bounds_array, check_number, check_positive
+from .base import check_number, check_positive
 from .errors import ConfigError, DegenerateFitnessWarning, DimensionMismatch
 
 #: |previous fitness| below this is treated as degenerate (no relative change).
@@ -120,13 +120,6 @@ def update_epsilon(eps: float, x: float, bounds: tuple[float, float], k: float) 
     if x < lo:
         return eps * k
     return eps
-
-
-def clamp_to_bounds(x, bounds) -> np.ndarray:
-    """Project each component onto its [min, max] interval (idempotent)."""
-    x = np.asarray(x, dtype=float)
-    b = check_bounds_array(bounds, x.shape[-1])
-    return np.clip(x, b[:, 0], b[:, 1])
 
 
 # --- vectorized forms used by the population engine --------------------------

@@ -1,6 +1,6 @@
 """Problem adapters: objective evaluation, encodings, and validity rules."""
 
-from .tsp import TspInstance, TspProblem, tsp_tour_length, tsp_tour_length_raw
+from .tsp import TspInstance, TspProblem, tsp_tour_length
 from .qap import QapInstance, QapProblem, qap_cost
 from .knapsack import (
     KnapsackInstance,
@@ -23,7 +23,6 @@ __all__ = [
     "TspInstance",
     "TspProblem",
     "tsp_tour_length",
-    "tsp_tour_length_raw",
     "QapInstance",
     "QapProblem",
     "qap_cost",

@@ -24,7 +24,7 @@ def _geo_radians(values: np.ndarray) -> np.ndarray:
     return math.pi * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
-def _geo_matrix(coords: np.ndarray, integral: bool) -> np.ndarray:
+def _geo_matrix(coords: np.ndarray) -> np.ndarray:
     lat = _geo_radians(coords[:, 0])
     lon = _geo_radians(coords[:, 1])
     q1 = np.cos(lon[:, None] - lon[None, :])
@@ -32,10 +32,8 @@ def _geo_matrix(coords: np.ndarray, integral: bool) -> np.ndarray:
     q3 = np.cos(lat[:, None] + lat[None, :])
     arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
     d = EARTH_RADIUS * np.arccos(arg)
+    d = np.floor(d + 1.0)
     np.fill_diagonal(d, 0.0)
-    if integral:
-        d = np.floor(d + 1.0)
-        np.fill_diagonal(d, 0.0)
     return d
 
 
@@ -44,11 +42,9 @@ def _euclid_matrix(coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def _att_matrix(coords: np.ndarray, integral: bool) -> np.ndarray:
+def _att_matrix(coords: np.ndarray) -> np.ndarray:
     diff = coords[:, None, :] - coords[None, :, :]
     r = np.sqrt((diff**2).sum(axis=2) / 10.0)
-    if not integral:
-        return r
     t = np.rint(r)
     return np.where(t < r, t + 1.0, t)
 
@@ -83,29 +79,23 @@ class TspInstance:
         elif self.coords is None:
             raise InstanceError(f"{self.metric} metric requires coordinates")
 
-    def distance_matrix(self, *, integral: bool = True) -> np.ndarray:
-        """Pairwise distances under the declared metric.
-
-        ``integral=False`` gives the untruncated real-valued form of the
-        rounding metrics (GEO great-circle, raw ATT radius), letting callers
-        report both the conventional and the raw tour length.
-        """
-        key = ("D", integral)
-        if key in self._cache:
-            return self._cache[key]
+    def distance_matrix(self) -> np.ndarray:
+        """Pairwise distances under the declared metric."""
+        if "D" in self._cache:
+            return self._cache["D"]
         if self.metric == "EXPLICIT":
             d = self.matrix
         elif self.metric == "EUC_2D":
-            d = np.rint(_euclid_matrix(self.coords)) if integral else _euclid_matrix(self.coords)
+            d = np.rint(_euclid_matrix(self.coords))
         elif self.metric == "EUCLID_RAW":
             d = _euclid_matrix(self.coords)
         elif self.metric == "ATT":
-            d = _att_matrix(self.coords, integral)
+            d = _att_matrix(self.coords)
         elif self.metric == "GEO":
-            d = _geo_matrix(self.coords, integral)
+            d = _geo_matrix(self.coords)
         else:  # pragma: no cover - guarded in __post_init__
             raise UnsupportedEdgeWeightType(self.metric)
-        self._cache[key] = d
+        self._cache["D"] = d
         return d
 
     def with_metric(self, metric: str) -> "TspInstance":
@@ -130,13 +120,6 @@ def tsp_tour_length(inst: TspInstance, tour) -> float:
     """Closed-tour length under the instance's declared metric."""
     arr = _check_tour(inst, tour) - 1
     d = inst.distance_matrix()
-    return float(d[arr, np.roll(arr, -1)].sum())
-
-
-def tsp_tour_length_raw(inst: TspInstance, tour) -> float:
-    """Closed-tour length with rounding metrics left untruncated."""
-    arr = _check_tour(inst, tour) - 1
-    d = inst.distance_matrix(integral=False)
     return float(d[arr, np.roll(arr, -1)].sum())
 
 

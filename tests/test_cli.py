@@ -3,7 +3,9 @@ import json
 import pytest
 
 from conftest import FIXTURES
+from ghosa import ExperimentConfig, RunStats
 from ghosa.cli import entrypoint
+from ghosa.ingest import checksum_text
 
 
 def run_cli(capsys, *args):
@@ -51,6 +53,75 @@ def test_oracle_command_with_cache(capsys, tmp_path):
     )
     assert code == 0
     assert "(cached)" in out
+
+
+# instance 1 has optimum 50 (items 1+4 or 2+3), instance 2 has 13 (items 2+3)
+BUNDLE = "2\n4 1 0\n10 20 30 40\n1 2 3 4\n5\n3 1 0\n5 6 7\n1 1 1\n2\n"
+
+
+def test_bundle_oracle_caches_each_instance(capsys, tmp_path):
+    bundle = tmp_path / "bundle.txt"
+    bundle.write_text(BUNDLE)
+    cache = tmp_path / "oracle.cache"
+    outputs = []
+    for dim in ("1", "2", "2", "1"):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--problem", "knapsack", "--instance", str(bundle),
+            "--dim", dim, "--cache", str(cache),
+        )
+        assert code == 0
+        outputs.append(out.splitlines()[0])
+    assert outputs == ["optimum 50.0", "optimum 13.0",
+                       "optimum 13.0 (cached)", "optimum 50.0 (cached)"]
+
+
+def test_single_instance_cache_key_is_the_checksum(capsys, tmp_path):
+    # a cache line keyed by the bare file checksum still answers
+    text = "1\n4 1 0\n10 20 30 40\n1 2 3 4\n5\n"
+    single = tmp_path / "single.txt"
+    single.write_text(text)
+    cache = tmp_path / "oracle.cache"
+    cache.write_text(f"{checksum_text(text)} 50.0\n")
+    code, out, _ = run_cli(
+        capsys, "oracle", "--problem", "knapsack", "--instance", str(single),
+        "--cache", str(cache),
+    )
+    assert code == 0
+    assert out == "optimum 50.0 (cached)\n"
+
+
+def test_oracle_prints_plain_values(capsys, tmp_path):
+    bundle = tmp_path / "bundle.txt"
+    bundle.write_text(BUNDLE)
+    code, out, _ = run_cli(
+        capsys, "oracle", "--problem", "knapsack", "--instance", str(bundle), "--dim", "2",
+    )
+    assert code == 0
+    assert "np." not in out
+    assert "optimizer [0, 1, 1]" in out
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("dim", ["0", "3"])
+def test_bundle_index_out_of_range_exits_one(capsys, tmp_path, command, dim):
+    bundle = tmp_path / "bundle.txt"
+    bundle.write_text(BUNDLE)
+    budget = ("--runs", "1", "--iters", "2") if command == "run" else ()
+    code, _, err = run_cli(
+        capsys, command, "--problem", "knapsack", "--instance", str(bundle), "--dim", dim,
+        *budget,
+    )
+    assert code == 1
+    assert "2 instances" in err
+
+
+def test_unknown_metric_override_exits_one(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "tsp", "--instance", f"{FIXTURES}/ulysses16.tsp",
+        "--runs", "1", "--iters", "2", "--metric-override", "bogus",
+    )
+    assert code == 1
+    assert "bogus" in err
 
 
 def test_parse_check(capsys):
@@ -138,6 +209,21 @@ def test_bad_threshold_policy_exits_one(capsys, tmp_path, policy):
     )
     assert code == 1
     assert "threshold" in err
+
+
+def test_run_defaults_come_from_experiment_config(capsys, monkeypatch):
+    built = []
+
+    def fake_run_experiment(cfg):
+        built.append(cfg)
+        return RunStats(0.0, 0.0, 0.0, 0.0), {
+            "report": {"problem": {"name": "x", "dimension": 16}}
+        }
+
+    monkeypatch.setattr("ghosa.cli.run_experiment", fake_run_experiment)
+    code, _, _ = run_cli(capsys, "run", *TSP)
+    assert code == 0
+    assert built == [ExperimentConfig(problem="tsp", instance=f"{FIXTURES}/ulysses16.tsp")]
 
 
 def test_param_reaches_optimizer_and_report(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghosa import ContinuousAgent, LbnivParams, clamp_to_bounds, lbniv_update, update_d, update_epsilon
+from ghosa import ContinuousAgent, LbnivParams, lbniv_update, update_d, update_epsilon
 from ghosa.errors import ConfigError, DegenerateFitnessWarning, DimensionMismatch
 from ghosa.lbniv import update_d_batch, update_epsilon_batch
 
@@ -82,22 +82,6 @@ class TestLbnivUpdate:
         with pytest.raises(DimensionMismatch):
             lbniv_update(agent, best=np.zeros(3), front=np.zeros(2),
                          rear=np.zeros(2), params=LbnivParams())
-
-
-class TestClamp:
-    def test_inside_unchanged(self):
-        out = clamp_to_bounds([1.0, -2.0], [(-20, 20), (-20, 20)])
-        assert out.tolist() == [1.0, -2.0]
-
-    def test_projection(self):
-        out = clamp_to_bounds([25.0, -25.0], [(-20, 20), (-20, 20)])
-        assert out.tolist() == [20.0, -20.0]
-
-    def test_idempotent(self, rng):
-        bounds = [(-3, 5), (0, 1), (-10, -2)]
-        x = rng.normal(scale=20, size=3)
-        once = clamp_to_bounds(x, bounds)
-        assert np.array_equal(clamp_to_bounds(once, bounds), once)
 
 
 class TestParams:

@@ -26,7 +26,6 @@ from ghosa.errors import (
     ThresholdOutOfRange,
     WrongEndpoints,
 )
-from ghosa.problems import tsp_tour_length_raw
 
 
 class TestTsp:
@@ -76,13 +75,11 @@ class TestTsp:
         expected = t + 1 if t < r else t
         assert inst.distance_matrix()[0, 1] == expected
 
-    def test_raw_length_untruncated(self):
+    def test_euc_2d_length_rounds_each_edge(self):
         coords = np.array([[0.0, 0.0], [1.2, 0.0], [0.0, 0.9]])
         inst = TspInstance(n=3, coords=coords, metric="EUC_2D")
         rounded = tsp_tour_length(inst, [1, 2, 3])
-        raw = tsp_tour_length_raw(inst, [1, 2, 3])
         assert rounded == pytest.approx(round(1.2) + round(1.5) + round(0.9), abs=1e-9)
-        assert raw == pytest.approx(1.2 + 1.5 + 0.9)
 
     def test_placement_cost_unit_square_insertion_slot(self, unit_square_tsp):
         # tour over three corners, bait is the missing one; independent
