@@ -1,9 +1,10 @@
 """Estimator-style base class and input validation helpers.
 
 Optimizers follow the scikit-learn parameter convention: every constructor
-argument is stored verbatim under the same name, ``get_params``/``set_params``
-expose them for inspection and replay, and attributes learned by ``fit`` get
-a trailing underscore.  No scikit-learn dependency is needed for that.
+argument is a dataclass field stored verbatim under the same name,
+``get_params``/``set_params`` expose them for inspection and replay, and
+attributes learned by ``fit`` get a trailing underscore.  No scikit-learn
+dependency is needed for that.
 """
 
 from __future__ import annotations
@@ -12,23 +13,45 @@ import inspect
 import itertools
 import math
 import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 
 
-class ParamMixin:
-    """get_params/set_params following the sklearn constructor convention."""
+@dataclass(eq=False, repr=False)
+class PopulationOptimizer:
+    """The run protocol and parameter handling shared by every population optimizer.
+
+    Parameters are dataclass fields.  This class declares the budget every
+    optimizer takes; ``target`` and ``seed`` are keyword-only, so a subclass's
+    own fields come between them and ``iterations`` in the constructor.
+    ``get_params``/``set_params``/``repr`` follow that constructor order.
+
+    A subclass is a ``dataclass(eq=False, repr=False)`` whose fields are its
+    remaining parameters, and implements ``_run(problem, rng)``: a generator
+    that checks its own parameters, keeps its best solution and final
+    population as fitted attributes, and yields the global best fitness after
+    each iteration.  ``fit`` checks the budget, seeds ``rng`` from ``seed``
+    and takes at most ``iterations`` values, stopping as soon as one reaches
+    ``target`` in the problem's ``sense``.  The generator is never resumed
+    after the last one, so the fitted attributes are those of the last traced
+    iteration.  ``fit`` sets ``trace_``, ``best_fitness_``, ``n_iterations_``
+    and ``stopped_early_``.
+    """
+
+    population_size: int = 50
+    iterations: int = 25000
+    target: float | None = field(default=None, kw_only=True)
+    seed: int | None = field(default=None, kw_only=True)
+
+    #: smallest population the subclass's variation step works with
+    min_population = 1
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        return list(inspect.signature(cls).parameters)
 
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -47,23 +70,6 @@ class ParamMixin:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
-
-
-class PopulationOptimizer(ParamMixin):
-    """The run protocol shared by every population optimizer.
-
-    A subclass implements ``_run(problem, rng)``: a generator that checks its
-    own parameters, keeps its best solution and final population as fitted
-    attributes, and yields the global best fitness after each iteration.
-    ``fit`` checks the budget, seeds ``rng`` from ``seed`` and takes at most
-    ``iterations`` values, stopping as soon as one reaches ``target`` in the
-    problem's ``sense``.  The generator is never resumed after the last one,
-    so the fitted attributes are those of the last traced iteration.  ``fit``
-    sets ``trace_``, ``best_fitness_``, ``n_iterations_`` and ``stopped_early_``.
-    """
-
-    #: smallest population the subclass's variation step works with
-    min_population = 1
 
     def fit(self, problem):
         check_int_at_least(self.population_size, self.min_population, "population_size")
@@ -155,19 +161,3 @@ def is_permutation(seq, n: int) -> bool:
     if arr.shape != (n,):
         return False
     return np.array_equal(np.sort(arr), np.arange(1, n + 1))
-
-
-def check_bounds_array(bounds, dim: int | None = None) -> np.ndarray:
-    """Normalize bounds to a (D, 2) float array with min <= max."""
-    arr = np.asarray(bounds, dtype=float)
-    if arr.ndim == 1 and arr.shape == (2,):
-        if dim is None:
-            raise ConfigError("scalar bounds need an explicit dimension")
-        arr = np.tile(arr, (dim, 1))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigError(f"bounds must have shape (D, 2), got {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ConfigError(f"bounds rows ({arr.shape[0]}) != dimension ({dim})")
-    if np.any(arr[:, 0] > arr[:, 1]):
-        raise ConfigError("each bounds row must satisfy min <= max")
-    return arr

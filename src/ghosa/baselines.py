@@ -8,6 +8,8 @@ one elite.  Positions always stay inside the box.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import (
@@ -19,28 +21,14 @@ from .base import (
 )
 
 
+@dataclass(eq=False, repr=False)
 class ParticleSwarmOptimizer(PopulationOptimizer):
     """Global-best PSO over a bounded continuous problem."""
 
-    def __init__(
-        self,
-        population_size: int = 50,
-        iterations: int = 25000,
-        inertia: float = 0.72,
-        cognitive: float = 1.49,
-        social: float = 1.49,
-        velocity_clamp: float = 0.5,
-        target: float | None = None,
-        seed: int | None = None,
-    ):
-        self.population_size = population_size
-        self.iterations = iterations
-        self.inertia = inertia
-        self.cognitive = cognitive
-        self.social = social
-        self.velocity_clamp = velocity_clamp
-        self.target = target
-        self.seed = seed
+    inertia: float = 0.72
+    cognitive: float = 1.49
+    social: float = 1.49
+    velocity_clamp: float = 0.5
 
     def _run(self, problem, rng):
         check_number(self.inertia, "inertia")
@@ -82,31 +70,17 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
             yield gbest_f
 
 
+@dataclass(eq=False, repr=False)
 class GeneticAlgorithmOptimizer(PopulationOptimizer):
     """Real-coded generational GA with tournament selection and one elite."""
 
     # blend crossover needs a pair of parents
     min_population = 2
 
-    def __init__(
-        self,
-        population_size: int = 50,
-        iterations: int = 25000,
-        crossover_rate: float = 0.9,
-        mutation_rate: float | None = None,
-        mutation_scale: float = 0.1,
-        tournament_size: int = 2,
-        target: float | None = None,
-        seed: int | None = None,
-    ):
-        self.population_size = population_size
-        self.iterations = iterations
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
-        self.mutation_scale = mutation_scale
-        self.tournament_size = tournament_size
-        self.target = target
-        self.seed = seed
+    crossover_rate: float = 0.9
+    mutation_rate: float | None = None
+    mutation_scale: float = 0.1
+    tournament_size: int = 2
 
     def _run(self, problem, rng):
         check_probability(self.crossover_rate, "crossover_rate")

@@ -11,6 +11,8 @@ a handful of numpy passes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import (
@@ -33,6 +35,7 @@ from .operators import apply_cases, rotate_segments
 EPS_CAP = 1e12
 
 
+@dataclass(eq=False, repr=False)
 class ContinuousGhosaOptimizer(PopulationOptimizer):
     """Swarm optimizer for bounded continuous problems.
 
@@ -42,35 +45,15 @@ class ContinuousGhosaOptimizer(PopulationOptimizer):
     population in ``population_x_`` and ``population_fitness_``.
     """
 
-    def __init__(
-        self,
-        population_size: int = 50,
-        iterations: int = 25000,
-        replace_fraction: float = 10.0,
-        p_miss: float = 1.0 / 3.0,
-        p_catch: float = 1.0 / 3.0,
-        p_false: float = 1.0 / 3.0,
-        swarm_rate: float = 0.2,
-        window_fraction: float = 1.0,
-        eps0: float = 0.2,
-        k: float = 2.0,
-        bias: float = 0.001,
-        target: float | None = None,
-        seed: int | None = None,
-    ):
-        self.population_size = population_size
-        self.iterations = iterations
-        self.replace_fraction = replace_fraction
-        self.p_miss = p_miss
-        self.p_catch = p_catch
-        self.p_false = p_false
-        self.swarm_rate = swarm_rate
-        self.window_fraction = window_fraction
-        self.eps0 = eps0
-        self.k = k
-        self.bias = bias
-        self.target = target
-        self.seed = seed
+    replace_fraction: float = 10.0
+    p_miss: float = 1.0 / 3.0
+    p_catch: float = 1.0 / 3.0
+    p_false: float = 1.0 / 3.0
+    swarm_rate: float = 0.2
+    window_fraction: float = 1.0
+    eps0: float = 0.2
+    k: float = 2.0
+    bias: float = 0.001
 
     def _lbniv_move(
         self,

@@ -10,6 +10,8 @@ re-randomized.  The recorded global best never worsens.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import (
@@ -27,6 +29,7 @@ _BASE_COMPONENT_VALUES = SequenceProblem.component_values
 _BASE_PLACEMENT_COST = SequenceProblem.placement_cost
 
 
+@dataclass(eq=False, repr=False)
 class GhosaOptimizer(PopulationOptimizer):
     """Discrete swarm optimizer with an estimator-style interface.
 
@@ -43,31 +46,13 @@ class GhosaOptimizer(PopulationOptimizer):
     every row scored, including the re-scores of dynamic problems.
     """
 
-    def __init__(
-        self,
-        population_size: int = 50,
-        iterations: int = 25000,
-        replace_fraction: float = 10.0,
-        p_miss: float = 1.0 / 3.0,
-        p_catch: float = 1.0 / 3.0,
-        p_false: float = 1.0 / 3.0,
-        window_fraction: float = 0.25,
-        swarm_rate: float = 0.2,
-        max_shift: int | None = None,
-        target: float | None = None,
-        seed: int | None = None,
-    ):
-        self.population_size = population_size
-        self.iterations = iterations
-        self.replace_fraction = replace_fraction
-        self.p_miss = p_miss
-        self.p_catch = p_catch
-        self.p_false = p_false
-        self.window_fraction = window_fraction
-        self.swarm_rate = swarm_rate
-        self.max_shift = max_shift
-        self.target = target
-        self.seed = seed
+    replace_fraction: float = 10.0
+    p_miss: float = 1.0 / 3.0
+    p_catch: float = 1.0 / 3.0
+    p_false: float = 1.0 / 3.0
+    window_fraction: float = 0.25
+    swarm_rate: float = 0.2
+    max_shift: int | None = None
 
     def _run(self, problem, rng):
         check_probability(self.swarm_rate, "swarm_rate")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .base import PopulationOptimizer
 from .baselines import GeneticAlgorithmOptimizer, ParticleSwarmOptimizer
 from .continuous import ContinuousGhosaOptimizer
 from .engine import GhosaOptimizer
@@ -53,10 +54,17 @@ ORACLES = {
     "roadnet": exact_shortest_paths,
 }
 PROBLEM_KINDS = (*INSTANCE_FORMATS, "benchmark")
+#: problem options and the kinds whose adapter reads them
+OPTION_KINDS = {
+    "metric_override": ("tsp",),
+    "threshold_policy": ("knapsack",),
+    "awt_noise": ("roadnet",),
+    "dim": ("knapsack", "benchmark"),
+}
 ALGORITHMS = ("GHOSA", "GA", "PSO")
 BASELINES = {"GA": GeneticAlgorithmOptimizer, "PSO": ParticleSwarmOptimizer}
 #: parameters every optimizer takes; the harness sets them from the experiment
-SHARED_PARAMS = ("population_size", "iterations", "target", "seed")
+SHARED_PARAMS = tuple(f.name for f in dataclasses.fields(PopulationOptimizer))
 
 
 @dataclass
@@ -136,6 +144,12 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         if self.algorithm in ("GA", "PSO") and self.problem != "benchmark":
             raise ConfigError(f"{self.algorithm} baseline only runs on benchmark problems")
+        for name, kinds in OPTION_KINDS.items():
+            default = self.__dataclass_fields__[name].default
+            if self.problem not in kinds and getattr(self, name) != default:
+                raise ConfigError(
+                    f"{name} applies to {' and '.join(kinds)} problems, not {self.problem}"
+                )
         shared = sorted(set(self.params) & set(SHARED_PARAMS))
         if shared:
             raise ConfigError(f"params {shared} are set by the experiment's own fields")

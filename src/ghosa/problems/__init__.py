@@ -11,7 +11,6 @@ from .knapsack import (
 from .roadnet import RoadNetwork, RoadNetworkProblem, road_fitness
 from .benchmarks import (
     BenchmarkFunction,
-    ContinuousProblem,
     benchmark_function,
     benchmark_ids,
     eval_benchmark,
@@ -34,7 +33,6 @@ __all__ = [
     "RoadNetworkProblem",
     "road_fitness",
     "BenchmarkFunction",
-    "ContinuousProblem",
     "benchmark_function",
     "benchmark_ids",
     "eval_benchmark",

@@ -8,11 +8,9 @@ minimizers to full float precision (published tables round them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import check_bounds_array
 from ..errors import ConfigError, DimensionMismatch, OutOfBounds
 
 
@@ -269,26 +267,30 @@ def benchmark_ids() -> list[str]:
     return list(_REGISTRY)
 
 
-@dataclass
-class ContinuousProblem:
-    """Bounded continuous minimization problem."""
+class BenchmarkFunction:
+    """One of the f1..f25 table functions: a bounded continuous minimization problem."""
 
-    name: str
-    dim: int
-    bounds: np.ndarray
-    fn: object
-    optimum: float | None = None
-    optimizer: np.ndarray | None = None
-    uses_rng: bool = False
-    best_known: float | None = None
-    sense: str = "min"
+    sense = "min"
 
-    def __post_init__(self):
-        self.bounds = check_bounds_array(self.bounds, self.dim)
-        if self.optimizer is not None:
-            self.optimizer = np.atleast_1d(np.asarray(self.optimizer, dtype=float))
-        if self.best_known is None:
-            self.best_known = self.optimum
+    def __init__(self, fid: str, dim: int | None = None):
+        if fid not in _REGISTRY:
+            raise ConfigError(f"unknown benchmark id {fid!r}")
+        fn, default_dim, scalable, bounds, optimum, optimizer, label = _REGISTRY[fid]
+        if dim is None:
+            dim = default_dim
+        elif not scalable and dim != default_dim:
+            raise ConfigError(f"{fid} has fixed dimension {default_dim}")
+        elif dim < 1:
+            raise ConfigError(f"{fid} needs a dimension >= 1, got {dim}")
+        self.fid = fid
+        self.name = f"{fid} ({label})"
+        self.dim = dim
+        # a single (min, max) pair or scalar minimizer applies to every variable
+        self.bounds = np.array(np.broadcast_to(bounds, (dim, 2)), dtype=float)
+        self.fn = fn
+        self.optimum = self.best_known = optimum
+        self.optimizer = np.array(np.broadcast_to(optimizer, dim), dtype=float)
+        self.uses_rng = fid == "f12"
 
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -310,34 +312,6 @@ class ContinuousProblem:
             "sense": self.sense,
             "best_known": self.best_known,
         }
-
-
-class BenchmarkFunction(ContinuousProblem):
-    """One of the f1..f25 table functions."""
-
-    def __init__(self, fid: str, dim: int | None = None):
-        if fid not in _REGISTRY:
-            raise ConfigError(f"unknown benchmark id {fid!r}")
-        fn, default_dim, scalable, bounds, optimum, optimizer, label = _REGISTRY[fid]
-        if dim is None:
-            dim = default_dim
-        elif not scalable and dim != default_dim:
-            raise ConfigError(f"{fid} has fixed dimension {default_dim}")
-        if isinstance(bounds, tuple):
-            bounds_arr = np.tile(np.asarray(bounds, dtype=float), (dim, 1))
-        else:
-            bounds_arr = np.asarray(bounds, dtype=float)
-        opt_vec = np.full(dim, optimizer, dtype=float) if np.isscalar(optimizer) else optimizer
-        self.fid = fid
-        super().__init__(
-            name=f"{fid} ({label})",
-            dim=dim,
-            bounds=bounds_arr,
-            fn=fn,
-            optimum=optimum,
-            optimizer=opt_vec,
-            uses_rng=(fid == "f12"),
-        )
 
 
 def benchmark_function(fid: str, dim: int | None = None) -> BenchmarkFunction:

@@ -123,15 +123,3 @@ class KnapsackProblem(SequenceProblem):
         feasible = np.all(loads <= inst.capacity[None, None, :], axis=2)
         best = np.max(np.where(feasible, prof, 0.0), axis=1)
         return np.maximum(best, 0.0)
-
-    def best_decode(self, sequence) -> tuple[np.ndarray, int]:
-        """Bit vector and threshold realizing this string's fitness."""
-        seq = np.asarray(sequence, dtype=np.int64)
-        if self.threshold_policy != "sweep":
-            return knapsack_decode(seq, self._threshold), self._threshold
-        best_t, best_p = self.instance.n, 0.0
-        for t in range(1, self.instance.n + 1):
-            p = knapsack_profit(self.instance, knapsack_decode(seq, t))
-            if p > best_p:
-                best_p, best_t = p, t
-        return knapsack_decode(seq, best_t), best_t

@@ -134,11 +134,25 @@ def test_parse_check(capsys):
 
 
 def test_config_error_exit_code(capsys):
+    for args in [
+        ("--problem", "tsp", "--instance", f"{FIXTURES}/ulysses16.tsp", "--algo", "PSO"),
+        ("--problem", "benchmark", "--instance", "f1", "--dim", "0", "--iters", "2"),
+        ("--problem", "benchmark", "--instance", "f1", "--dim", "-3", "--iters", "2"),
+    ]:
+        code, _, _ = run_cli(capsys, "run", *args, "--runs", "1")
+        assert code == 1, args
+
+
+def test_options_the_kind_ignores_exit_one(capsys, tmp_path):
+    qap = tmp_path / "toy.qap"
+    qap.write_text("3\n0 1 2\n1 0 1\n2 1 0\n0 2 1\n2 0 2\n1 2 0\n")
     code, _, err = run_cli(
-        capsys, "run", "--problem", "tsp", "--instance", f"{FIXTURES}/ulysses16.tsp",
-        "--algo", "PSO", "--runs", "1",
+        capsys, "run", "--problem", "qap", "--instance", str(qap),
+        "--metric-override", "bogus", "--threshold-policy", "nonsense", "--dim", "7",
+        "--runs", "1", "--iters", "2",
     )
     assert code == 1
+    assert "not qap" in err
 
 
 def test_param_the_algorithm_lacks_exits_one(capsys):

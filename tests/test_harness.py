@@ -75,6 +75,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="tsp", algorithm="PSO")
 
+    @pytest.mark.parametrize("problem,option,value", [
+        ("qap", "metric_override", "euclid"),
+        ("tsp", "threshold_policy", "random"),
+        ("knapsack", "awt_noise", 1.0),
+        ("roadnet", "dim", 2),
+    ])
+    def test_option_the_kind_ignores_rejected(self, problem, option, value):
+        with pytest.raises(ConfigError, match=option):
+            ExperimentConfig(problem=problem, instance="x", **{option: value})
+
     def test_seeds_enumerated_from_base(self):
         cfg = ExperimentConfig(problem="benchmark", instance="f1", seed_base=7, runs=3)
         assert cfg.seeds() == [7, 8, 9]

@@ -1,5 +1,7 @@
 """The run protocol every optimizer shares through ``PopulationOptimizer.fit``."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,55 @@ def test_population_below_minimum_rejected(cls, population_size, rng):
     with pytest.raises(ConfigError, match="population_size"):
         cls(population_size=population_size, iterations=1).fit(problem)
     cls(population_size=population_size + 1, iterations=1).fit(problem)
+
+
+THIRD = 1.0 / 3.0
+SURFACE = {
+    GhosaOptimizer: (
+        "GhosaOptimizer(population_size=50, iterations=25000, replace_fraction=10.0, "
+        "p_miss=0.3333333333333333, p_catch=0.3333333333333333, "
+        "p_false=0.3333333333333333, window_fraction=0.25, swarm_rate=0.2, "
+        "max_shift=None, target=None, seed=None)",
+        [("population_size", 50), ("iterations", 25000), ("replace_fraction", 10.0),
+         ("p_miss", THIRD), ("p_catch", THIRD), ("p_false", THIRD),
+         ("window_fraction", 0.25), ("swarm_rate", 0.2), ("max_shift", None),
+         ("target", None), ("seed", None)],
+    ),
+    ContinuousGhosaOptimizer: (
+        "ContinuousGhosaOptimizer(population_size=50, iterations=25000, "
+        "replace_fraction=10.0, p_miss=0.3333333333333333, p_catch=0.3333333333333333, "
+        "p_false=0.3333333333333333, swarm_rate=0.2, window_fraction=1.0, eps0=0.2, "
+        "k=2.0, bias=0.001, target=None, seed=None)",
+        [("population_size", 50), ("iterations", 25000), ("replace_fraction", 10.0),
+         ("p_miss", THIRD), ("p_catch", THIRD), ("p_false", THIRD),
+         ("swarm_rate", 0.2), ("window_fraction", 1.0), ("eps0", 0.2), ("k", 2.0),
+         ("bias", 0.001), ("target", None), ("seed", None)],
+    ),
+    ParticleSwarmOptimizer: (
+        "ParticleSwarmOptimizer(population_size=50, iterations=25000, inertia=0.72, "
+        "cognitive=1.49, social=1.49, velocity_clamp=0.5, target=None, seed=None)",
+        [("population_size", 50), ("iterations", 25000), ("inertia", 0.72),
+         ("cognitive", 1.49), ("social", 1.49), ("velocity_clamp", 0.5),
+         ("target", None), ("seed", None)],
+    ),
+    GeneticAlgorithmOptimizer: (
+        "GeneticAlgorithmOptimizer(population_size=50, iterations=25000, "
+        "crossover_rate=0.9, mutation_rate=None, mutation_scale=0.1, "
+        "tournament_size=2, target=None, seed=None)",
+        [("population_size", 50), ("iterations", 25000), ("crossover_rate", 0.9),
+         ("mutation_rate", None), ("mutation_scale", 0.1), ("tournament_size", 2),
+         ("target", None), ("seed", None)],
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(SURFACE), ids=lambda cls: cls.__name__)
+def test_estimator_surface(cls):
+    """Parameter names, order and defaults are the published constructor surface."""
+    expected_repr, expected_params = SURFACE[cls]
+    signature = inspect.signature(cls).parameters
+    assert [(name, p.default) for name, p in signature.items()] == expected_params
+    assert list(cls().get_params()) == [name for name, _ in expected_params]
+    assert repr(cls()) == expected_repr
+    keyword_only = [name for name, p in signature.items() if p.kind is p.KEYWORD_ONLY]
+    assert keyword_only == ["target", "seed"]
