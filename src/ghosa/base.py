@@ -31,14 +31,15 @@ class PopulationOptimizer:
 
     A subclass is a ``dataclass(eq=False, repr=False)`` whose fields are its
     remaining parameters, and implements ``_run(problem, rng)``: a generator
-    that checks its own parameters, keeps its best solution and final
-    population as fitted attributes, and yields the global best fitness after
-    each iteration.  ``fit`` checks the budget, seeds ``rng`` from ``seed``
-    and takes at most ``iterations`` values, stopping as soon as one reaches
-    ``target`` in the problem's ``sense``.  The generator is never resumed
-    after the last one, so the fitted attributes are those of the last traced
-    iteration.  ``fit`` sets ``trace_``, ``best_fitness_``, ``n_iterations_``
-    and ``stopped_early_``.
+    that checks its own parameters, scores rows only through ``_score``,
+    keeps its best solution and final population as fitted attributes, and
+    yields the global best fitness after each iteration.  ``fit`` checks the
+    budget, seeds ``rng`` from ``seed`` and takes at most ``iterations``
+    values, stopping as soon as one reaches ``target`` in the problem's
+    ``sense``.  The generator is never resumed after the last one, so the
+    fitted attributes are those of the last traced iteration.  ``fit`` sets
+    ``trace_``, ``best_fitness_``, ``n_iterations_``, ``stopped_early_`` and
+    ``evaluations_``, the number of rows scored.
     """
 
     population_size: int = 50
@@ -71,16 +72,24 @@ class PopulationOptimizer:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
+    def _score(self, evaluate, rows, **kwargs) -> np.ndarray:
+        """``evaluate(rows, **kwargs)`` as a float array, counted in ``evaluations_``."""
+        fitness = np.asarray(evaluate(rows, **kwargs), dtype=float)
+        self.evaluations_ += len(rows)
+        return fitness
+
     def fit(self, problem):
         check_int_at_least(self.population_size, self.min_population, "population_size")
         check_int_at_least(self.iterations, 1, "iterations")
+        target = None if self.target is None else check_number(self.target, "target")
         rng = check_random_state(self.seed)
         sign = -1.0 if problem.sense == "max" else 1.0
         trace: list[float] = []
         stopped_early = False
+        self.evaluations_ = 0
         for best in itertools.islice(self._run(problem, rng), self.iterations):
             trace.append(best)
-            if self.target is not None and sign * best <= sign * self.target:
+            if target is not None and sign * best <= sign * target:
                 stopped_early = True
                 break
         self.trace_ = np.asarray(trace)
@@ -88,6 +97,35 @@ class PopulationOptimizer:
         self.n_iterations_ = len(trace)
         self.stopped_early_ = stopped_early
         return self
+
+
+@dataclass(eq=False, repr=False)
+class GhosaBase(PopulationOptimizer):
+    """The parameters both GHOSA engines take: worst-agent replacement and case weights."""
+
+    replace_fraction: float = 10.0
+    p_miss: float = 1.0 / 3.0
+    p_catch: float = 1.0 / 3.0
+    p_false: float = 1.0 / 3.0
+
+    def _check_shared(self) -> tuple[np.ndarray, int]:
+        """The checked case weights and the number of agents replaced per iteration."""
+        case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
+        check_replace_fraction(self.replace_fraction)
+        return case_p, int(self.replace_fraction * self.population_size // 100)
+
+
+def best_of(rows, fitness, best=None, sign: float = 1.0):
+    """``(row copy, fitness)`` of the first best row, or ``best`` if no row beats it."""
+    i = int(np.argmin(sign * fitness))
+    if best is not None and not sign * fitness[i] < sign * best[1]:
+        return best
+    return rows[i].copy(), float(fitness[i])
+
+
+def worst_rows(fitness, count: int, sign: float = 1.0) -> np.ndarray:
+    """Indices of the ``count`` worst rows: the tail of the stable argsort."""
+    return np.argsort(sign * fitness, kind="stable")[len(fitness) - count :]
 
 
 def check_number(value, name: str) -> float:

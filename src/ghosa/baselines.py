@@ -14,6 +14,7 @@ import numpy as np
 
 from .base import (
     PopulationOptimizer,
+    best_of,
     check_int_at_least,
     check_number,
     check_positive,
@@ -41,12 +42,10 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
         x = rng.uniform(lo, hi, size=(n, dim))
         v = np.zeros((n, dim))
         vmax = self.velocity_clamp * span
-        fit = np.asarray(problem.evaluate_batch(x, rng=rng), dtype=float)
+        fit = self._score(problem.evaluate_batch, x, rng=rng)
         pbest_x = x.copy()
         pbest_f = fit.copy()
-        gi = int(np.argmin(pbest_f))
-        gbest_x = pbest_x[gi].copy()
-        gbest_f = float(pbest_f[gi])
+        gbest_x, gbest_f = best_of(pbest_x, pbest_f)
 
         while True:
             r1 = rng.random((n, dim))
@@ -58,14 +57,11 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
             )
             v = np.clip(v, -vmax, vmax)
             x = np.clip(x + v, lo, hi)
-            fit = np.asarray(problem.evaluate_batch(x, rng=rng), dtype=float)
+            fit = self._score(problem.evaluate_batch, x, rng=rng)
             better = fit < pbest_f
             pbest_x[better] = x[better]
             pbest_f[better] = fit[better]
-            gi = int(np.argmin(pbest_f))
-            if pbest_f[gi] < gbest_f:
-                gbest_f = float(pbest_f[gi])
-                gbest_x = pbest_x[gi].copy()
+            gbest_x, gbest_f = best_of(pbest_x, pbest_f, (gbest_x, gbest_f))
             self.best_x_ = gbest_x
             yield gbest_f
 
@@ -94,10 +90,8 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
         mrate = self.mutation_rate if self.mutation_rate is not None else 1.0 / dim
 
         x = rng.uniform(lo, hi, size=(n, dim))
-        fit = np.asarray(problem.evaluate_batch(x, rng=rng), dtype=float)
-        gi = int(np.argmin(fit))
-        gbest_x = x[gi].copy()
-        gbest_f = float(fit[gi])
+        fit = self._score(problem.evaluate_batch, x, rng=rng)
+        gbest_x, gbest_f = best_of(x, fit)
 
         while True:
             # tournament selection of n parents
@@ -123,7 +117,7 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
             children = np.where(mutate, children + noise, children)
             children = np.clip(children, lo, hi)
 
-            child_fit = np.asarray(problem.evaluate_batch(children, rng=rng), dtype=float)
+            child_fit = self._score(problem.evaluate_batch, children, rng=rng)
 
             # one elite survives verbatim
             worst = int(np.argmax(child_fit))
@@ -131,9 +125,6 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
             child_fit[worst] = gbest_f
 
             x, fit = children, child_fit
-            gi = int(np.argmin(fit))
-            if fit[gi] < gbest_f:
-                gbest_f = float(fit[gi])
-                gbest_x = x[gi].copy()
+            gbest_x, gbest_f = best_of(x, fit, (gbest_x, gbest_f))
             self.best_x_ = gbest_x
             yield gbest_f

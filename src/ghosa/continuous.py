@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (
-    PopulationOptimizer,
-    check_case_probabilities,
+    GhosaBase,
+    best_of,
     check_probability,
-    check_replace_fraction,
     check_window_fraction,
+    worst_rows,
 )
 from .lbniv import (
     FRONT,
@@ -36,7 +36,7 @@ EPS_CAP = 1e12
 
 
 @dataclass(eq=False, repr=False)
-class ContinuousGhosaOptimizer(PopulationOptimizer):
+class ContinuousGhosaOptimizer(GhosaBase):
     """Swarm optimizer for bounded continuous problems.
 
     ``eps0``, ``k`` and ``bias`` parameterize the adaptive variation;
@@ -45,10 +45,6 @@ class ContinuousGhosaOptimizer(PopulationOptimizer):
     population in ``population_x_`` and ``population_fitness_``.
     """
 
-    replace_fraction: float = 10.0
-    p_miss: float = 1.0 / 3.0
-    p_catch: float = 1.0 / 3.0
-    p_false: float = 1.0 / 3.0
     swarm_rate: float = 0.2
     window_fraction: float = 1.0
     eps0: float = 0.2
@@ -66,17 +62,16 @@ class ContinuousGhosaOptimizer(PopulationOptimizer):
     ) -> np.ndarray:
         return (
             x
-            + np.abs(best[None, :] - rear) * d[:, :, REAR] * eps[:, :, REAR]
-            + np.abs(best[None, :] - front) * d[:, :, FRONT] * eps[:, :, FRONT]
+            + np.abs(best[None, :] - rear) * d[:, :, REAR] * eps
+            + np.abs(best[None, :] - front) * d[:, :, FRONT] * eps
             + self.bias
         )
 
     def _run(self, problem, rng):
         check_probability(self.swarm_rate, "swarm_rate")
         LbnivParams(k=self.k, bias=self.bias, eps0=self.eps0)  # checks k and eps0
-        case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
+        case_p, replace_count = self._check_shared()
         check_window_fraction(self.window_fraction)
-        check_replace_fraction(self.replace_fraction)
 
         dim = problem.dim
         n_agents = self.population_size
@@ -85,29 +80,21 @@ class ContinuousGhosaOptimizer(PopulationOptimizer):
         span = hi - lo
 
         x = rng.uniform(lo, hi, size=(n_agents, dim))
-        fitness = np.asarray(problem.evaluate_batch(x, rng=rng), dtype=float)
+        fitness = self._score(problem.evaluate_batch, x, rng=rng)
         d = np.zeros((n_agents, dim, 2))
-        eps = np.full((n_agents, dim, 2), self.eps0)
+        # one step scale per variable, shared by both neighbor terms
+        eps = np.full((n_agents, dim), self.eps0)
+        best_x, best_f = best_of(x, fitness)
 
-        best_i = int(np.argmin(fitness))
-        best_x = x[best_i].copy()
-        best_f = float(fitness[best_i])
-
-        if dim <= 20 or self.window_fraction >= 1.0:
-            window = np.arange(dim)
-        else:
-            wlen = max(1, int(round(self.window_fraction * dim)))
-            window = np.arange(wlen)  # offset drawn per iteration
-
-        windowed = len(window) < dim
-        replace_count = int(self.replace_fraction * n_agents // 100)
+        full_window = dim <= 20 or self.window_fraction >= 1.0
+        window_len = dim if full_window else max(1, int(round(self.window_fraction * dim)))
 
         while True:
             cases = rng.choice(3, size=n_agents, p=case_p)
             rotate = rng.random(n_agents) < self.swarm_rate
             bait_u = rng.random(n_agents)
-            offset = int(rng.integers(0, dim - len(window) + 1)) if windowed else 0
-            slots = window + offset
+            offset = int(rng.integers(0, dim - window_len + 1)) if window_len < dim else 0
+            slots = np.arange(offset, offset + window_len)
 
             # change-of-position: trial the bait in every window slot
             trial_best = np.full(n_agents, np.inf)
@@ -115,7 +102,7 @@ class ContinuousGhosaOptimizer(PopulationOptimizer):
             for pos in slots:
                 trial = x.copy()
                 trial[:, pos] = lo[pos] + bait_u * span[pos]
-                val = np.asarray(problem.evaluate_batch(trial, rng=None), dtype=float)
+                val = self._score(problem.evaluate_batch, trial, rng=None)
                 better = val < trial_best
                 trial_best[better] = val[better]
                 positions[better] = pos
@@ -131,15 +118,13 @@ class ContinuousGhosaOptimizer(PopulationOptimizer):
             front = np.roll(x, -1, axis=0)
             moved = self._lbniv_move(cand, best_x, d, eps, rear, front)
 
-            # bound violations are judged on the pre-clamp move; the same
-            # multiplier applies to both neighbor entries of a variable
-            new_eps = update_epsilon_batch(eps[:, :, REAR], moved, bounds, self.k)
-            runaway = ~np.isfinite(new_eps) | (new_eps > EPS_CAP)
-            new_eps = np.where(runaway, self.eps0, new_eps)
-            eps = np.repeat(new_eps[:, :, None], 2, axis=2)
+            # bound violations are judged on the pre-clamp move
+            eps = update_epsilon_batch(eps, moved, bounds, self.k)
+            runaway = ~np.isfinite(eps) | (eps > EPS_CAP)
+            eps = np.where(runaway, self.eps0, eps)
 
             moved = np.clip(moved, lo[None, :], hi[None, :])
-            cand_fitness = np.asarray(problem.evaluate_batch(moved, rng=rng), dtype=float)
+            cand_fitness = self._score(problem.evaluate_batch, moved, rng=rng)
 
             d = np.stack(
                 [
@@ -153,22 +138,14 @@ class ContinuousGhosaOptimizer(PopulationOptimizer):
             x[improved] = moved[improved]
             fitness[improved] = cand_fitness[improved]
 
-            bi = int(np.argmin(fitness))
-            if fitness[bi] < best_f:
-                best_f = float(fitness[bi])
-                best_x = x[bi].copy()
-
+            best_x, best_f = best_of(x, fitness, (best_x, best_f))
             if replace_count:
-                order = np.argsort(fitness, kind="stable")
-                worst = order[n_agents - replace_count :]
+                worst = worst_rows(fitness, replace_count)
                 x[worst] = rng.uniform(lo, hi, size=(replace_count, dim))
-                fitness[worst] = problem.evaluate_batch(x[worst], rng=rng)
+                fitness[worst] = self._score(problem.evaluate_batch, x[worst], rng=rng)
                 d[worst] = 0.0
                 eps[worst] = self.eps0
-                bi = int(np.argmin(fitness))
-                if fitness[bi] < best_f:
-                    best_f = float(fitness[bi])
-                    best_x = x[bi].copy()
+                best_x, best_f = best_of(x, fitness, (best_x, best_f))
 
             self.best_x_ = best_x
             self.population_x_, self.population_fitness_ = x, fitness

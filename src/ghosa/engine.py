@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (
-    PopulationOptimizer,
-    check_case_probabilities,
+    GhosaBase,
+    best_of,
     check_int_at_least,
     check_probability,
-    check_replace_fraction,
     check_window_fraction,
+    worst_rows,
 )
 from .operators import apply_cases, rotate_segments
 from .problems.core import SequenceProblem
@@ -30,7 +30,7 @@ _BASE_PLACEMENT_COST = SequenceProblem.placement_cost
 
 
 @dataclass(eq=False, repr=False)
-class GhosaOptimizer(PopulationOptimizer):
+class GhosaOptimizer(GhosaBase):
     """Discrete swarm optimizer with an estimator-style interface.
 
     Parameters mirror the operator knobs: the three baiting-case weights,
@@ -46,42 +46,33 @@ class GhosaOptimizer(PopulationOptimizer):
     every row scored, including the re-scores of dynamic problems.
     """
 
-    replace_fraction: float = 10.0
-    p_miss: float = 1.0 / 3.0
-    p_catch: float = 1.0 / 3.0
-    p_false: float = 1.0 / 3.0
     window_fraction: float = 0.25
     swarm_rate: float = 0.2
     max_shift: int | None = None
 
     def _run(self, problem, rng):
         check_probability(self.swarm_rate, "swarm_rate")
-        case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
+        case_p, replace_count = self._check_shared()
         check_window_fraction(self.window_fraction)
         if self.max_shift is not None:
             check_int_at_least(self.max_shift, 1, "max_shift")
-        check_replace_fraction(self.replace_fraction)
 
         n = problem.dimension
         n_agents = self.population_size
         sign = -1.0 if problem.sense == "max" else 1.0
         dynamic = getattr(problem, "dynamic", False)
-        replace_count = int(self.replace_fraction * n_agents // 100)
 
         problem.prepare_iteration(rng)
         sequences = problem.initial_population(rng, n_agents)
-        fitness = np.asarray(problem.batch_fitness(sequences), dtype=float)
-        self.evaluations_ = len(sequences)
-
-        best_i = int(np.argmin(sign * fitness))
-        best_sequence, best_fitness = sequences[best_i].copy(), float(fitness[best_i])
+        fitness = self._score(problem.batch_fitness, sequences)
+        best = best_of(sequences, fitness, sign=sign)
 
         track_components = (
             type(problem).component_values is not _BASE_COMPONENT_VALUES
         )
         self.trace_components_ = [] if track_components else None
         last_components = (
-            problem.component_values(best_sequence) if track_components else None
+            problem.component_values(best[0]) if track_components else None
         )
 
         bait_counts = np.zeros(n)
@@ -95,8 +86,7 @@ class GhosaOptimizer(PopulationOptimizer):
         while True:
             problem.prepare_iteration(rng)
             if dynamic:
-                fitness = np.asarray(problem.batch_fitness(sequences), dtype=float)
-                self.evaluations_ += n_agents
+                fitness = self._score(problem.batch_fitness, sequences)
 
             weights = 1.0 / (1.0 + bait_counts)
             baits = rng.choice(n, size=n_agents, p=weights / weights.sum()) + 1
@@ -135,38 +125,31 @@ class GhosaOptimizer(PopulationOptimizer):
             rotated[rotating] = rotate_segments(rotated[rotating], *segments.T)
             candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)
 
-            cand_fitness = np.asarray(problem.batch_fitness(candidates), dtype=float)
-            self.evaluations_ += n_agents
+            cand_fitness = self._score(problem.batch_fitness, candidates)
             improved = sign * cand_fitness < sign * fitness
             sequences[improved] = candidates[improved]
             fitness[improved] = cand_fitness[improved]
 
             # the global best is taken before and after the worst agents are
             # re-randomized, so it never worsens; ties keep the older best
-            previous_best = best_sequence
-            bi = int(np.argmin(sign * fitness))
-            if sign * fitness[bi] < sign * best_fitness:
-                best_sequence, best_fitness = sequences[bi].copy(), float(fitness[bi])
+            previous_best = best
+            best = best_of(sequences, fitness, best, sign)
             if replace_count:
-                order = np.argsort(sign * fitness, kind="stable")
-                worst = order[n_agents - replace_count :]
+                worst = worst_rows(fitness, replace_count, sign)
                 fresh = problem.initial_population(rng, replace_count)
                 sequences[worst] = fresh
-                fitness[worst] = problem.batch_fitness(fresh)
-                self.evaluations_ += replace_count
-                bi = int(np.argmin(sign * fitness))
-                if sign * fitness[bi] < sign * best_fitness:
-                    best_sequence, best_fitness = sequences[bi].copy(), float(fitness[bi])
+                fitness[worst] = self._score(problem.batch_fitness, fresh)
+                best = best_of(sequences, fitness, best, sign)
 
             if track_components:
-                if best_sequence is not previous_best:
-                    got = problem.component_values(best_sequence)
+                if best is not previous_best:
+                    got = problem.component_values(best[0])
                     if got is not None:
                         last_components = got
                 # None until the first decodable global best appears
                 self.trace_components_.append(
                     dict(last_components) if last_components is not None else None
                 )
-            self.best_sequence_ = best_sequence
+            self.best_sequence_, best_fitness = best
             self.population_, self.population_fitness_ = sequences, fitness
             yield best_fitness

@@ -271,6 +271,7 @@ def _single_run(cfg: ExperimentConfig, problem, seed: int) -> dict:
         "best_fitness": float(opt.best_fitness_),
         "trace": np.asarray(opt.trace_),
         "iterations_run": int(opt.n_iterations_),
+        "evaluations": int(opt.evaluations_),
         "components": getattr(opt, "trace_components_", None),
     }
     if hasattr(opt, "best_sequence_"):

@@ -138,6 +138,8 @@ def test_config_error_exit_code(capsys):
         ("--problem", "tsp", "--instance", f"{FIXTURES}/ulysses16.tsp", "--algo", "PSO"),
         ("--problem", "benchmark", "--instance", "f1", "--dim", "0", "--iters", "2"),
         ("--problem", "benchmark", "--instance", "f1", "--dim", "-3", "--iters", "2"),
+        ("--problem", "benchmark", "--instance", "f6", "--iters", "50", "--target", "nan"),
+        ("--problem", "benchmark", "--instance", "f6", "--iters", "50", "--target", "inf"),
     ]:
         code, _, _ = run_cli(capsys, "run", *args, "--runs", "1")
         assert code == 1, args

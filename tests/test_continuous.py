@@ -75,7 +75,7 @@ class TestVectorizedMoveMatchesPureOps:
         x = rng.normal(size=(n, dim))
         best = rng.normal(size=dim)
         d = rng.normal(size=(n, dim, 2))
-        eps = rng.uniform(0.05, 0.5, size=(n, dim, 2))
+        eps = rng.uniform(0.05, 0.5, size=(n, dim))
         rear = np.roll(x, 1, axis=0)
         front = np.roll(x, -1, axis=0)
 
@@ -84,7 +84,9 @@ class TestVectorizedMoveMatchesPureOps:
 
         params = LbnivParams(bias=0.001)
         for i in range(n):
-            agent = ContinuousAgent(x=x[i], d=d[i], eps=eps[i])
+            # the engine keeps one step scale per variable for both neighbors
+            agent_eps = np.repeat(eps[i][:, None], 2, axis=1)
+            agent = ContinuousAgent(x=x[i], d=d[i], eps=agent_eps)
             expected = lbniv_update(agent, best, front[i], rear[i], params)
             assert np.allclose(moved[i], expected)
 

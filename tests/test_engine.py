@@ -5,11 +5,15 @@ import pytest
 
 from conftest import random_knapsack, random_qap, random_roadnet, random_tsp
 from ghosa import (
+    ContinuousGhosaOptimizer,
+    GeneticAlgorithmOptimizer,
     GhosaOptimizer,
     KnapsackProblem,
+    ParticleSwarmOptimizer,
     QapProblem,
     RoadNetworkProblem,
     TspProblem,
+    benchmark_function,
     tsp_tour_length,
 )
 from ghosa.base import (
@@ -234,30 +238,44 @@ class TestOptimize:
 
 class TestEvaluationCount:
     @pytest.mark.parametrize(
-        "make",
+        "cls, make",
         [
-            lambda rng: TspProblem(random_tsp(rng, n=9)),
-            lambda rng: RoadNetworkProblem(random_roadnet(rng), awt_noise=0.5),
-            lambda rng: KnapsackProblem(
-                random_knapsack(rng, m=2, n=10), threshold_policy="random"
+            (GhosaOptimizer, lambda rng: TspProblem(random_tsp(rng, n=9))),
+            (
+                GhosaOptimizer,
+                lambda rng: RoadNetworkProblem(random_roadnet(rng), awt_noise=0.5),
             ),
+            (
+                GhosaOptimizer,
+                lambda rng: KnapsackProblem(
+                    random_knapsack(rng, m=2, n=10), threshold_policy="random"
+                ),
+            ),
+            (ContinuousGhosaOptimizer, lambda rng: benchmark_function("f5", dim=30)),
+            (ParticleSwarmOptimizer, lambda rng: benchmark_function("f5", dim=30)),
+            (GeneticAlgorithmOptimizer, lambda rng: benchmark_function("f5", dim=30)),
         ],
-        ids=["tsp", "noisy-road", "random-knapsack"],
+        ids=["tsp", "noisy-road", "random-knapsack", "continuous-f5-d30", "pso", "ga"],
     )
-    def test_evaluations_equal_rows_scored(self, make, rng):
-        # dynamic problems re-score the population every iteration; those
-        # rows are evaluations too
+    def test_evaluations_equal_rows_scored(self, cls, make, rng):
+        # dynamic problems re-score the population every iteration, and
+        # continuous change-of-position scores one trial block per window
+        # slot; those rows are evaluations too
         prob = make(rng)
+        name = "evaluate_batch" if hasattr(prob, "evaluate_batch") else "batch_fitness"
+        evaluate = getattr(prob, name)
         scored = []
-        batch_fitness = prob.batch_fitness
 
-        def counted(sequences):
-            scored.append(len(sequences))
-            return batch_fitness(sequences)
+        def counted(rows, **kwargs):
+            scored.append(len(rows))
+            return evaluate(rows, **kwargs)
 
-        prob.batch_fitness = counted
-        opt = GhosaOptimizer(population_size=12, iterations=30, seed=3).fit(prob)
+        setattr(prob, name, counted)
+        opt = cls(population_size=12, iterations=30, seed=3).fit(prob)
         assert opt.evaluations_ == sum(scored)
+        # a second fit counts from zero
+        first = opt.evaluations_
+        assert opt.fit(prob).evaluations_ == first
 
 
 class TestFitValidation:

@@ -162,6 +162,7 @@ class TestSingleSourceOfParams:
         _, replayed = replay_report(out.with_suffix(".json"))
         for a, b in zip(results["runs"], replayed["runs"]):
             assert a["best_fitness"] == b["best_fitness"]
+            assert a["evaluations"] == b["evaluations"]
             assert np.array_equal(a["trace"], b["trace"])
 
 

@@ -60,6 +60,10 @@ def test_trace_and_target_stop(cls, make_problem, rng):
     assert missed.n_iterations_ == ITERATIONS
     assert np.array_equal(missed.trace_, free.trace_)
 
+    for bad in (float("nan"), float("inf"), "1"):
+        with pytest.raises(ConfigError, match="target"):
+            fit(bad)
+
 
 @pytest.mark.parametrize(
     "cls, population_size",
