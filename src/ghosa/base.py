@@ -30,16 +30,17 @@ class PopulationOptimizer:
     ``get_params``/``set_params``/``repr`` follow that constructor order.
 
     A subclass is a ``dataclass(eq=False, repr=False)`` whose fields are its
-    remaining parameters, and implements ``_run(problem, rng)``: a generator
-    that checks its own parameters, scores rows only through ``_score``,
-    keeps its best solution and final population as fitted attributes, and
-    yields the global best fitness after each iteration.  ``fit`` checks the
-    budget, seeds ``rng`` from ``seed`` and takes at most ``iterations``
-    values, stopping as soon as one reaches ``target`` in the problem's
-    ``sense``.  The generator is never resumed after the last one, so the
-    fitted attributes are those of the last traced iteration.  ``fit`` sets
-    ``trace_``, ``best_fitness_``, ``n_iterations_``, ``stopped_early_`` and
-    ``evaluations_``, the number of rows scored.
+    remaining parameters.  It extends ``check_params`` and implements
+    ``_run(problem, rng)``: a generator that scores rows only through
+    ``_score``, keeps its best solution and final population as fitted
+    attributes, and yields the global best fitness after each iteration.
+    ``fit`` runs ``check_params``, seeds ``rng`` from ``seed`` and takes at
+    most ``iterations`` values, stopping as soon as one reaches ``target``
+    in the problem's ``sense``.  The generator is never resumed after the
+    last one, so the fitted attributes are those of the last traced
+    iteration.  ``fit`` sets ``trace_``, ``best_fitness_``,
+    ``n_iterations_``, ``stopped_early_`` and ``evaluations_``, the number
+    of rows scored.
     """
 
     population_size: int = 50
@@ -78,10 +79,16 @@ class PopulationOptimizer:
         self.evaluations_ += len(rows)
         return fitness
 
-    def fit(self, problem):
+    def check_params(self) -> None:
+        """Raise ConfigError on a setting the run cannot use; ``fit`` calls it first."""
         check_int_at_least(self.population_size, self.min_population, "population_size")
         check_int_at_least(self.iterations, 1, "iterations")
-        target = None if self.target is None else check_number(self.target, "target")
+        if self.target is not None:
+            check_number(self.target, "target")
+
+    def fit(self, problem):
+        self.check_params()
+        target = None if self.target is None else float(self.target)
         rng = check_random_state(self.seed)
         sign = -1.0 if problem.sense == "max" else 1.0
         trace: list[float] = []
@@ -108,10 +115,14 @@ class GhosaBase(PopulationOptimizer):
     p_catch: float = 1.0 / 3.0
     p_false: float = 1.0 / 3.0
 
-    def _check_shared(self) -> tuple[np.ndarray, int]:
-        """The checked case weights and the number of agents replaced per iteration."""
-        case_p = check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
+    def check_params(self) -> None:
+        super().check_params()
+        check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
         check_replace_fraction(self.replace_fraction)
+
+    def _shared(self) -> tuple[np.ndarray, int]:
+        """The case weights and the number of agents replaced per iteration."""
+        case_p = np.array([self.p_miss, self.p_catch, self.p_false], dtype=float)
         return case_p, int(self.replace_fraction * self.population_size // 100)
 
 

@@ -31,10 +31,13 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
     social: float = 1.49
     velocity_clamp: float = 0.5
 
-    def _run(self, problem, rng):
+    def check_params(self):
+        super().check_params()
         check_number(self.inertia, "inertia")
         for name in ("cognitive", "social", "velocity_clamp"):
             check_positive(getattr(self, name), name, strict=False)
+
+    def _run(self, problem, rng):
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         span = hi - lo
         n, dim = self.population_size, problem.dim
@@ -78,12 +81,15 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
     mutation_scale: float = 0.1
     tournament_size: int = 2
 
-    def _run(self, problem, rng):
+    def check_params(self):
+        super().check_params()
         check_probability(self.crossover_rate, "crossover_rate")
         if self.mutation_rate is not None:
             check_probability(self.mutation_rate, "mutation_rate")
         check_positive(self.mutation_scale, "mutation_scale", strict=False)
         check_int_at_least(self.tournament_size, 1, "tournament_size")
+
+    def _run(self, problem, rng):
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         span = hi - lo
         n, dim = self.population_size, problem.dim

@@ -67,12 +67,14 @@ class ContinuousGhosaOptimizer(GhosaBase):
             + self.bias
         )
 
-    def _run(self, problem, rng):
+    def check_params(self):
+        super().check_params()
         check_probability(self.swarm_rate, "swarm_rate")
         LbnivParams(k=self.k, bias=self.bias, eps0=self.eps0)  # checks k and eps0
-        case_p, replace_count = self._check_shared()
         check_window_fraction(self.window_fraction)
 
+    def _run(self, problem, rng):
+        case_p, replace_count = self._shared()
         dim = problem.dim
         n_agents = self.population_size
         bounds = problem.bounds

@@ -50,13 +50,15 @@ class GhosaOptimizer(GhosaBase):
     swarm_rate: float = 0.2
     max_shift: int | None = None
 
-    def _run(self, problem, rng):
+    def check_params(self):
+        super().check_params()
         check_probability(self.swarm_rate, "swarm_rate")
-        case_p, replace_count = self._check_shared()
         check_window_fraction(self.window_fraction)
         if self.max_shift is not None:
             check_int_at_least(self.max_shift, 1, "max_shift")
 
+    def _run(self, problem, rng):
+        case_p, replace_count = self._shared()
         n = problem.dimension
         n_agents = self.population_size
         sign = -1.0 if problem.sense == "max" else 1.0

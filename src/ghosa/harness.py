@@ -153,7 +153,8 @@ class ExperimentConfig:
         shared = sorted(set(self.params) & set(SHARED_PARAMS))
         if shared:
             raise ConfigError(f"params {shared} are set by the experiment's own fields")
-        _make_optimizer(self, None)  # rejects params the optimizer does not take
+        # rejects params the optimizer does not take, and values it cannot run with
+        _make_optimizer(self, None).check_params()
 
     def seeds(self) -> list[int]:
         return [self.seed_base + i for i in range(self.runs)]
@@ -249,18 +250,14 @@ class RunFailure(GhosaError):
 
 
 def _collect_runs(seeds: list[int], outcomes) -> list[dict]:
-    """Call each run's outcome in order; a failure names its run index and seed.
-
-    A bad optimizer setting stays a ``ConfigError``; anything else becomes a
-    ``RunFailure``.
-    """
+    """Call each run's outcome in order; a failure is a ``RunFailure`` that
+    names its run index and seed (settings are checked before any run)."""
     runs = []
     for index, (seed, outcome) in enumerate(zip(seeds, outcomes)):
         try:
             runs.append(outcome())
         except Exception as exc:
-            kind = ConfigError if isinstance(exc, ConfigError) else RunFailure
-            raise kind(f"run {index} (seed {seed}) failed: {exc}") from exc
+            raise RunFailure(f"run {index} (seed {seed}) failed: {exc}") from exc
     return runs
 
 
@@ -395,10 +392,6 @@ def export_report(stats: RunStats, results: dict, fmt: str, out) -> list[Path]:
 
 
 def _jsonify(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)}")

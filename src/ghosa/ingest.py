@@ -21,11 +21,9 @@ from .errors import (
     DimensionMismatch,
     MissingHeaderField,
     NonNumericToken,
-    NonPositiveVelocity,
     ParseError,
     TruncatedMatrix,
     TruncatedSection,
-    UnknownNodeReference,
     UnsupportedEdgeWeightType,
 )
 from .problems import KnapsackInstance, QapInstance, RoadNetwork, TspInstance
@@ -332,11 +330,7 @@ def serialize_orlib_mknap(instances: list[KnapsackInstance]) -> str:
 def parse_roadnet(text: str) -> RoadNetwork:
     """Node list line, ``u v distance waiting`` edge lines, then a
     ``velocity source destination`` trailer line."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if len(lines) < 2:
         raise TruncatedSection("road network needs a node list and a trailer")
     try:
@@ -345,7 +339,6 @@ def parse_roadnet(text: str) -> RoadNetwork:
         raise NonNumericToken(f"bad node list {lines[0]!r}") from exc
     if not nodes:
         raise TruncatedSection("empty node list")
-    node_set = set(nodes)
 
     trailer = lines[-1].split()
     if len(trailer) != 3:
@@ -357,8 +350,6 @@ def parse_roadnet(text: str) -> RoadNetwork:
         source, destination = int(trailer[1]), int(trailer[2])
     except ValueError as exc:
         raise NonNumericToken(f"bad trailer {lines[-1]!r}") from exc
-    if velocity <= 0:
-        raise NonPositiveVelocity(f"velocity must be > 0, got {velocity}")
 
     edges: dict[tuple[int, int], tuple[float, float]] = {}
     for line in lines[1:-1]:
@@ -370,13 +361,7 @@ def parse_roadnet(text: str) -> RoadNetwork:
             d, awt = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise NonNumericToken(f"bad edge line {line!r}") from exc
-        if u not in node_set or v not in node_set:
-            raise UnknownNodeReference(f"edge ({u}, {v}) references undeclared node")
         edges[(u, v)] = (d, awt)
-
-    for endpoint in (source, destination):
-        if endpoint not in node_set:
-            raise UnknownNodeReference(f"endpoint {endpoint} not declared")
     return RoadNetwork(
         nodes=nodes,
         edges=edges,
@@ -411,15 +396,11 @@ def load_instance(path, fmt: str) -> InstanceFileRecord:
     path = Path(path)
     text = path.read_text()
     payload = _PARSERS[fmt](text)
-    if fmt == "TSPLIB" and not payload.name:
-        payload.name = path.stem
-    if fmt == "QAPLIB" and not payload.name:
-        payload.name = path.stem
     if fmt == "ORLIB_MKNAP":
         for i, inst in enumerate(payload):
             if inst.name.startswith("mknap"):
                 inst.name = f"{path.stem}-{i + 1}"
-    if fmt == "ROADNET" and not payload.name:
+    elif not payload.name:
         payload.name = path.stem
     return InstanceFileRecord(
         path=str(path), format=fmt, checksum=checksum_text(text), payload=payload

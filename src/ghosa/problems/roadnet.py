@@ -9,7 +9,7 @@ score as worthless, mirroring the knapsack feasibility rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from ..errors import (
     DisconnectedPath,
     InstanceError,
     NonPositiveVelocity,
+    UnknownNodeReference,
     WrongEndpoints,
 )
 from .core import SequenceProblem
@@ -36,7 +37,6 @@ class RoadNetwork:
     resources: dict[tuple[int, int], np.ndarray] | None = None
     caps: np.ndarray | None = None
     name: str = ""
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.velocity <= 0:
@@ -46,29 +46,24 @@ class RoadNetwork:
         node_set = set(self.nodes)
         for endpoint in (self.source, self.destination):
             if endpoint not in node_set:
-                raise InstanceError(f"endpoint {endpoint} not among nodes")
+                raise UnknownNodeReference(f"endpoint {endpoint} not among nodes")
         for (u, v), (d, awt) in self.edges.items():
             if u not in node_set or v not in node_set:
-                raise InstanceError(f"edge ({u}, {v}) references unknown node")
+                raise UnknownNodeReference(f"edge ({u}, {v}) references unknown node")
             if d < 0 or awt < 0:
                 raise InstanceError(f"edge ({u}, {v}) has negative weight")
         if (self.resources is None) != (self.caps is None):
             raise InstanceError("resources and caps must be given together")
         if self.caps is not None:
             self.caps = np.asarray(self.caps, dtype=float)
-            self.resources = {
-                e: np.asarray(r, dtype=float) for e, r in self.resources.items()
-            }
+            self.resources = {e: np.asarray(r, dtype=float) for e, r in self.resources.items()}
 
     def adjacency(self) -> dict[int, list[int]]:
-        if not self._adj:
-            adj: dict[int, list[int]] = {u: [] for u in self.nodes}
-            for u, v in self.edges:
-                adj[u].append(v)
-            for u in adj:
-                adj[u].sort()
-            self._adj.update(adj)
-        return self._adj
+        """Out-neighbours of each node, in increasing node id."""
+        adj: dict[int, list[int]] = {u: [] for u in self.nodes}
+        for u, v in sorted(self.edges):
+            adj[u].append(v)
+        return adj
 
     def path_feasible(self, path) -> bool:
         """True when resource caps (if any) admit the path."""
@@ -87,8 +82,7 @@ def road_fitness(net: RoadNetwork, path) -> tuple[float, float, float]:
         raise WrongEndpoints(
             f"path must run {net.source} -> {net.destination}, got {path[:1]}..{path[-1:]}"
         )
-    f1 = 0.0
-    f2 = 0.0
+    f1 = f2 = 0.0
     for u, v in zip(path[:-1], path[1:]):
         if (u, v) not in net.edges:
             raise DisconnectedPath(f"({u}, {v}) is not an edge")
@@ -107,6 +101,11 @@ class RoadNetworkProblem(SequenceProblem):
     permutation operators search the full path space while dead ends simply
     score as infeasible.  ``awt_noise`` adds per-iteration multiplicative
     jitter to waiting times to model surrounding traffic (off by default).
+
+    The walk runs on node indices and edge ids (positions in ``node_ids`` and
+    ``network.edges``).  Rows are priority permutations of 1..n, and the walk
+    marks each visited node in the row's own list by setting its priority to
+    -1, which it never takes.
     """
 
     sense = "min"
@@ -117,59 +116,67 @@ class RoadNetworkProblem(SequenceProblem):
         self.awt_noise = awt_noise
         self.dynamic = awt_noise > 0.0
         self.node_ids = sorted(network.nodes)
-        self._index = {node: i for i, node in enumerate(self.node_ids)}
+        index = {node: i for i, node in enumerate(self.node_ids)}
         self.dimension = len(self.node_ids)
         self.name = network.name or f"road{self.dimension}"
-        self._adj = network.adjacency()
-        self._jitter: dict[tuple[int, int], float] = {}
+        edge_ids = {e: i for i, e in enumerate(network.edges)}
+        adj = network.adjacency()
+        # (neighbour index, edge id), neighbours in increasing node id, so a
+        # tie in priority goes to the lowest id
+        self._out = [[(index[v], edge_ids[u, v]) for v in adj[u]] for u in self.node_ids]
+        self._head = [v for _, v in network.edges]
+        self._ends = index[network.source], index[network.destination]
+        weights = np.array(list(network.edges.values()), dtype=float).reshape(-1, 2)
+        self._travel, self._awt = weights[:, 0] / network.velocity, weights[:, 1]
+        self._cost = (self._travel + self._awt).tolist()
 
     def prepare_iteration(self, rng: np.random.Generator) -> None:
         if self.awt_noise > 0.0:
-            self._jitter = {
-                e: 1.0 + self.awt_noise * float(rng.uniform(-1.0, 1.0))
-                for e in self.network.edges
-            }
+            jitter = 1.0 + self.awt_noise * rng.uniform(-1.0, 1.0, size=len(self._awt))
+            self._cost = (self._travel + self._awt * jitter).tolist()
+
+    def _walk(self, row: list) -> list[int] | None:
+        """Edge ids of the greedy walk over priorities ``row`` (marked in place);
+        None when it dead-ends."""
+        out = self._out
+        current, goal = self._ends
+        row[current] = -1
+        edges = []
+        while current != goal:
+            best = -1
+            for v, e in out[current]:
+                if row[v] > best:
+                    best, step, edge = row[v], v, e
+            if best == -1:
+                return None
+            current = step
+            row[current] = -1
+            edges.append(edge)
+        return edges
+
+    def _path(self, edges: list[int]) -> list[int]:
+        return [self.network.source] + [self._head[e] for e in edges]
 
     def decode(self, sequence) -> list[int] | None:
-        """Greedy highest-priority walk; None when it dead-ends."""
-        seq = np.asarray(sequence)
-        net = self.network
-        current = net.source
-        visited = {current}
-        path = [current]
-        while current != net.destination:
-            best_node, best_prio = None, -1
-            for v in self._adj[current]:
-                if v in visited:
-                    continue
-                prio = seq[self._index[v]]
-                if prio > best_prio:
-                    best_node, best_prio = v, prio
-            if best_node is None:
-                return None
-            current = best_node
-            visited.add(current)
-            path.append(current)
-        return path
-
-    def _path_cost(self, path) -> float:
-        net = self.network
-        total = 0.0
-        for u, v in zip(path[:-1], path[1:]):
-            d, awt = net.edges[(u, v)]
-            awt *= self._jitter.get((u, v), 1.0)
-            total += d / net.velocity + awt
-        return total
+        """Greedy highest-priority walk as node ids; None when it dead-ends."""
+        edges = self._walk(np.asarray(sequence).tolist())
+        return None if edges is None else self._path(edges)
 
     def batch_fitness(self, sequences: np.ndarray) -> np.ndarray:
-        out = np.empty(len(sequences))
-        for i, seq in enumerate(sequences):
-            path = self.decode(seq)
-            if path is None or not self.network.path_feasible(path):
-                out[i] = INFEASIBLE_FITNESS
-            else:
-                out[i] = self._path_cost(path)
-        return out
+        cost = self._cost
+        capped = self.network.caps is not None
+        out = []
+        for row in np.asarray(sequences).tolist():
+            edges = self._walk(row)
+            if edges is None or capped and not self.network.path_feasible(self._path(edges)):
+                out.append(INFEASIBLE_FITNESS)
+                continue
+            # edge by edge in path order: ``sum`` compensates on Python >= 3.12
+            total = 0.0
+            for e in edges:
+                total += cost[e]
+            out.append(total)
+        return np.array(out, dtype=float)
 
     def component_values(self, sequence) -> dict[str, float] | None:
         path = self.decode(sequence)

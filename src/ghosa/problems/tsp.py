@@ -91,10 +91,8 @@ class TspInstance:
             d = _euclid_matrix(self.coords)
         elif self.metric == "ATT":
             d = _att_matrix(self.coords)
-        elif self.metric == "GEO":
+        else:  # GEO; other metrics are rejected in __post_init__
             d = _geo_matrix(self.coords)
-        else:  # pragma: no cover - guarded in __post_init__
-            raise UnsupportedEdgeWeightType(self.metric)
         self._cache["D"] = d
         return d
 

@@ -39,6 +39,21 @@ def random_roadnet(rng, n=10, p_edge=0.3):
     return RoadNetwork(nodes=nodes, edges=edges, velocity=10.0, source=1, destination=n)
 
 
+def grid_roadnet(rng, k=10):
+    """k x k grid, both directions of each street, corner 1 to corner k*k."""
+    edges = {}
+    for r in range(k):
+        for c in range(k):
+            u = r * k + c + 1
+            for v in ([u + 1] if c + 1 < k else []) + ([u + k] if r + 1 < k else []):
+                distance = float(rng.uniform(1.0, 3.0))
+                edges[(u, v)] = (distance, float(rng.uniform(0.0, 2.0)))
+                edges[(v, u)] = (distance, float(rng.uniform(0.0, 2.0)))
+    return RoadNetwork(
+        nodes=list(range(1, k * k + 1)), edges=edges, velocity=1.0, source=1, destination=k * k
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

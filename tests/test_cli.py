@@ -180,7 +180,19 @@ def test_bad_param_value_exits_one(capsys):
         "--runs", "1", "--iters", "5", "--param", "tournament_size=0",
     )
     assert code == 1
-    assert "run 0 (seed 0)" in err
+    # checked when the experiment is configured, before any run starts
+    assert "tournament_size must be >= 1" in err
+    assert "run 0" not in err
+
+
+@pytest.mark.parametrize("option", [("--param", "swarm_rate=2"), ("--target", "nan")])
+def test_bad_setting_fails_before_the_runs(capsys, option):
+    code, _, err = run_cli(
+        capsys, "run", "--problem", "benchmark", "--instance", "f6",
+        "--runs", "1", "--iters", "50", *option,
+    )
+    assert code == 1
+    assert "config error" in err and "run 0 (seed 0) failed" not in err
 
 
 F6 = ("--problem", "benchmark", "--instance", "f6")

@@ -11,12 +11,15 @@ from ghosa import (
     ParticleSwarmOptimizer,
     RunStats,
     aggregate_stats,
+    benchmark_function,
+    harness,
     run_experiment,
 )
 from ghosa.errors import ConfigError, EmptyInput
 from ghosa.harness import (
     PROBLEM_KINDS,
     SHARED_PARAMS,
+    RunFailure,
     _make_optimizer,
     build_problem,
     replay_report,
@@ -209,12 +212,23 @@ class TestRunExperiment:
         assert serial.best == parallel.best
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failure_names_run_index_and_seed(self, workers):
+    def test_failure_names_run_index_and_seed(self, workers, monkeypatch):
+        # a problem that raises only when a run scores its first rows
+        broken = benchmark_function("f18")
+        broken.fn = np.linalg.inv
+        monkeypatch.setattr(harness, "build_problem", lambda cfg: broken)
         cfg = ExperimentConfig(problem="benchmark", instance="f18", runs=2,
                                iterations=5, population=4, seed_base=7,
-                               workers=workers, params={"swarm_rate": 2.0})
-        with pytest.raises(ConfigError, match=r"run 0 \(seed 7\) failed: swarm_rate"):
+                               workers=workers)
+        with pytest.raises(RunFailure, match=r"run 0 \(seed 7\) failed: "):
             run_experiment(cfg)
+
+    def test_bad_setting_fails_when_configured(self):
+        with pytest.raises(ConfigError, match="swarm_rate must be in"):
+            ExperimentConfig(problem="benchmark", instance="f18",
+                             params={"swarm_rate": 2.0})
+        with pytest.raises(ConfigError, match="target must be a number"):
+            ExperimentConfig(problem="benchmark", instance="f18", target=float("nan"))
 
 
 class TestExport:

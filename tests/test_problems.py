@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from ghosa import (
+    GhosaOptimizer,
     KnapsackInstance,
     KnapsackProblem,
     QapInstance,
     RoadNetwork,
+    RoadNetworkProblem,
     TspInstance,
     TspProblem,
     knapsack_decode,
@@ -26,6 +28,8 @@ from ghosa.errors import (
     ThresholdOutOfRange,
     WrongEndpoints,
 )
+from ghosa.problems.roadnet import INFEASIBLE_FITNESS
+from conftest import grid_roadnet, random_roadnet
 
 
 class TestTsp:
@@ -341,3 +345,116 @@ class TestRoadFitness:
     def test_velocity_must_be_positive(self):
         with pytest.raises(NonPositiveVelocity):
             RoadNetwork(nodes=[1, 2], edges={}, velocity=0.0, source=1, destination=2)
+
+
+def reference_walk(net, sequence):
+    """The dict-based greedy walk: node ids of the path, or None at a dead end."""
+    index = {node: i for i, node in enumerate(sorted(net.nodes))}
+    adj = {u: [] for u in net.nodes}
+    for u, v in net.edges:
+        adj[u].append(v)
+    for u in adj:
+        adj[u].sort()
+    current, visited, path = net.source, {net.source}, [net.source]
+    while current != net.destination:
+        best_node, best_prio = None, -1
+        for v in adj[current]:
+            if v not in visited and sequence[index[v]] > best_prio:
+                best_node, best_prio = v, sequence[index[v]]
+        if best_node is None:
+            return None
+        current = best_node
+        visited.add(current)
+        path.append(current)
+    return path
+
+
+def reference_cost(net, path, jitter):
+    """Travel plus jittered waiting time, summed edge by edge along the path."""
+    total = 0.0
+    for u, v in zip(path[:-1], path[1:]):
+        d, awt = net.edges[(u, v)]
+        total += d / net.velocity + awt * jitter.get((u, v), 1.0)
+    return total
+
+
+def capped(net, rng):
+    """``net`` with a random 2-resource vector per edge and caps that some paths break."""
+    resources = {e: rng.uniform(0.0, 3.0, size=2) for e in net.edges}
+    return RoadNetwork(nodes=net.nodes, edges=net.edges, velocity=net.velocity,
+                       source=net.source, destination=net.destination,
+                       resources=resources, caps=np.array([6.0, 7.0]))
+
+
+ORACLE_NETS = {
+    "random-8": lambda: random_roadnet(np.random.default_rng(5), n=8),
+    "random-14": lambda: random_roadnet(np.random.default_rng(6), n=14, p_edge=0.25),
+    "random-12-capped": lambda: capped(
+        random_roadnet(np.random.default_rng(7), n=12, p_edge=0.35),
+        np.random.default_rng(8),
+    ),
+    "grid-10x10": lambda: grid_roadnet(np.random.default_rng(9)),
+}
+
+
+class TestRoadNetworkProblem:
+    @pytest.mark.parametrize("awt_noise", [0.0, 0.5])
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_walk_and_cost_match_reference(self, name, awt_noise):
+        net = ORACLE_NETS[name]()
+        problem = RoadNetworkProblem(net, awt_noise=awt_noise)
+        n = problem.dimension
+        rows_rng = np.random.default_rng(11)
+        rows = np.array([rows_rng.permutation(n) + 1 for _ in range(200)])
+        # priorities with ties and zeros: the walk takes the first in node order
+        ties = rows_rng.integers(0, 4, size=(50, n))
+        # a short fit's population holds rows that reach the destination
+        fitted = GhosaOptimizer(population_size=40, iterations=30, seed=1).fit(problem)
+        rows = np.vstack([rows, ties, fitted.population_])
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        outcomes = set()
+        for _ in range(3):
+            problem.prepare_iteration(rng)
+            jitter = {}
+            if awt_noise > 0:
+                jitter = {
+                    e: 1.0 + awt_noise * float(oracle_rng.uniform(-1.0, 1.0))
+                    for e in net.edges
+                }
+            # one vector draw leaves the stream where E scalar draws leave it
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            fitness = problem.batch_fitness(rows)
+            for row, got in zip(rows, fitness):
+                path = reference_walk(net, row)
+                assert problem.decode(row) == path
+                feasible = path is not None and net.path_feasible(path)
+                expected = reference_cost(net, path, jitter) if feasible else INFEASIBLE_FITNESS
+                assert got == expected
+                outcomes.add(path is None)
+        assert outcomes == {True, False}
+
+    @pytest.fixture
+    def capped_toy(self, toy_roadnet):
+        resources = {(1, 2): [2.0], (1, 3): [1.0], (2, 4): [2.0], (3, 4): [1.0], (1, 4): [5.0]}
+        return RoadNetwork(nodes=toy_roadnet.nodes, edges=toy_roadnet.edges,
+                           velocity=toy_roadnet.velocity, source=1, destination=4,
+                           resources=resources, caps=np.array([3.0]))
+
+    def test_path_over_a_cap_is_infeasible(self, capped_toy):
+        problem = RoadNetworkProblem(capped_toy)
+        # node 2 has the top priority: 1 -> 2 -> 4 uses 4 > 3
+        assert problem.decode([1, 4, 3, 2]) == [1, 2, 4]
+        assert problem.fitness([1, 4, 3, 2]) == INFEASIBLE_FITNESS
+        # the direct arc uses 5 > 3
+        assert problem.decode([1, 2, 3, 4]) == [1, 4]
+        assert problem.fitness([1, 2, 3, 4]) == INFEASIBLE_FITNESS
+
+    def test_path_within_the_caps_scores_its_cost(self, capped_toy):
+        problem = RoadNetworkProblem(capped_toy)
+        # 1 -> 3 -> 4 uses 2 <= 3: travel 20/10 + 10/10, waiting 1 + 0
+        assert problem.decode([1, 3, 4, 2]) == [1, 3, 4]
+        assert problem.fitness([1, 3, 4, 2]) == 4.0
+        np.testing.assert_array_equal(
+            problem.batch_fitness(np.array([[1, 3, 4, 2], [1, 4, 3, 2]])),
+            [4.0, INFEASIBLE_FITNESS],
+        )
