@@ -16,13 +16,7 @@ from .harness import (
     export_report,
     run_experiment,
 )
-from .lbniv import (
-    ContinuousAgent,
-    LbnivParams,
-    lbniv_update,
-    update_d,
-    update_epsilon,
-)
+from .lbniv import lbniv_update, update_d, update_epsilon
 from .operators import BaitingCase, attracting_prey_swarms, baiting
 from .problems import (
     BenchmarkFunction,
@@ -48,14 +42,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BaitingCase",
     "BenchmarkFunction",
-    "ContinuousAgent",
     "ContinuousGhosaOptimizer",
     "ExperimentConfig",
     "GeneticAlgorithmOptimizer",
     "GhosaOptimizer",
     "KnapsackInstance",
     "KnapsackProblem",
-    "LbnivParams",
     "ParticleSwarmOptimizer",
     "QapInstance",
     "QapProblem",

@@ -85,11 +85,13 @@ class PopulationOptimizer:
         check_int_at_least(self.iterations, 1, "iterations")
         if self.target is not None:
             check_number(self.target, "target")
+        if self.seed is not None:
+            check_int_at_least(self.seed, 0, "seed")
 
     def fit(self, problem):
         self.check_params()
         target = None if self.target is None else float(self.target)
-        rng = check_random_state(self.seed)
+        rng = np.random.default_rng(self.seed)
         sign = -1.0 if problem.sense == "max" else 1.0
         trace: list[float] = []
         stopped_early = False
@@ -188,20 +190,21 @@ def check_window_fraction(value) -> float:
     return value
 
 
+def window_length(length: int, fraction: float) -> int:
+    """Slots change-of-position scans: all of a string of at most 20, else ``fraction`` of it."""
+    if length <= 20 or fraction >= 1.0:
+        return length
+    return max(1, int(round(fraction * length)))
+
+
 def check_int_at_least(value, minimum: int, name: str) -> int:
-    if int(check_number(value, name)) != value:
+    check_number(value, name)
+    if not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
-
-
-def check_random_state(seed) -> np.random.Generator:
-    """Accept None, an int seed, or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def is_permutation(seq, n: int) -> bool:

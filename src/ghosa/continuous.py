@@ -18,17 +18,15 @@ import numpy as np
 from .base import (
     GhosaBase,
     best_of,
+    check_number,
+    check_positive,
     check_probability,
     check_window_fraction,
+    window_length,
     worst_rows,
 )
-from .lbniv import (
-    FRONT,
-    REAR,
-    LbnivParams,
-    update_d_batch,
-    update_epsilon_batch,
-)
+from .errors import ConfigError
+from .lbniv import lbniv_move_batch, update_d_batch, update_epsilon_batch
 from .operators import apply_cases, rotate_segments
 
 #: step scales beyond this are reset to eps0 (runaway growth guard)
@@ -51,26 +49,13 @@ class ContinuousGhosaOptimizer(GhosaBase):
     k: float = 2.0
     bias: float = 0.001
 
-    def _lbniv_move(
-        self,
-        x: np.ndarray,
-        best: np.ndarray,
-        d: np.ndarray,
-        eps: np.ndarray,
-        rear: np.ndarray,
-        front: np.ndarray,
-    ) -> np.ndarray:
-        return (
-            x
-            + np.abs(best[None, :] - rear) * d[:, :, REAR] * eps
-            + np.abs(best[None, :] - front) * d[:, :, FRONT] * eps
-            + self.bias
-        )
-
     def check_params(self):
         super().check_params()
         check_probability(self.swarm_rate, "swarm_rate")
-        LbnivParams(k=self.k, bias=self.bias, eps0=self.eps0)  # checks k and eps0
+        if check_number(self.k, "k") <= 1.0:
+            raise ConfigError(f"k must be > 1, got {self.k}")
+        check_number(self.bias, "bias")
+        check_positive(self.eps0, "eps0")
         check_window_fraction(self.window_fraction)
 
     def _run(self, problem, rng):
@@ -88,8 +73,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
         eps = np.full((n_agents, dim), self.eps0)
         best_x, best_f = best_of(x, fitness)
 
-        full_window = dim <= 20 or self.window_fraction >= 1.0
-        window_len = dim if full_window else max(1, int(round(self.window_fraction * dim)))
+        window_len = window_length(dim, self.window_fraction)
 
         while True:
             cases = rng.choice(3, size=n_agents, p=case_p)
@@ -118,7 +102,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
 
             rear = np.roll(x, 1, axis=0)
             front = np.roll(x, -1, axis=0)
-            moved = self._lbniv_move(cand, best_x, d, eps, rear, front)
+            moved = lbniv_move_batch(cand, best_x, d, eps, rear, front, self.bias)
 
             # bound violations are judged on the pre-clamp move
             eps = update_epsilon_batch(eps, moved, bounds, self.k)

@@ -20,6 +20,7 @@ from .base import (
     check_int_at_least,
     check_probability,
     check_window_fraction,
+    window_length,
     worst_rows,
 )
 from .operators import apply_cases, rotate_segments
@@ -78,8 +79,7 @@ class GhosaOptimizer(GhosaBase):
         )
 
         bait_counts = np.zeros(n)
-        full_window = n <= 20 or self.window_fraction >= 1.0
-        window_len = n if full_window else max(1, int(round(self.window_fraction * n)))
+        window_len = window_length(n, self.window_fraction)
         whole_rotation = getattr(problem, "rotation_scope", "whole") == "whole"
         has_heuristic = (
             type(problem).placement_cost is not _BASE_PLACEMENT_COST
@@ -95,36 +95,29 @@ class GhosaOptimizer(GhosaBase):
             np.add.at(bait_counts, baits - 1, 1.0)
             case_idx = rng.choice(3, size=n_agents, p=case_p)
             rotate = rng.random(n_agents) < self.swarm_rate
-            if full_window:
-                starts = np.zeros(n_agents, dtype=np.int64)
-            else:
+            if window_len < n:
                 starts = rng.integers(0, n - window_len + 1, size=n_agents)
-            fallback = rng.integers(0, window_len, size=n_agents)
+            else:
+                starts = np.zeros(n_agents, dtype=np.int64)
 
             if has_heuristic:
                 windows = starts[:, None] + np.arange(window_len)
                 costs = problem.placement_cost(sequences, baits, windows)
                 positions = starts + np.argmin(costs, axis=1)
             else:
-                positions = starts + fallback
+                positions = starts + rng.integers(0, window_len, size=n_agents)
 
-            # segment bounds and shifts are drawn agent by agent, in agent
-            # order, so the random stream matches the scalar operator
-            rotating = np.flatnonzero(rotate) if n >= 2 else np.empty(0, dtype=int)
-            segments = []
-            for _ in rotating:
+            rotating = np.flatnonzero(rotate & (n >= 2))
+            if whole_rotation:
                 start, stop = 0, n
-                if not whole_rotation:
-                    seg_len = int(rng.integers(2, n + 1))
-                    start = int(rng.integers(0, n - seg_len + 1))
-                    stop = start + seg_len
-                cap = stop - start - 1
-                if self.max_shift is not None:
-                    cap = min(cap, self.max_shift)
-                segments.append((start, stop, int(rng.integers(1, cap + 1))))
-            segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
+            else:
+                length = rng.integers(2, n + 1, size=len(rotating))
+                start = rng.integers(0, n - length + 1)
+                stop = start + length
+            cap = np.minimum(stop - start - 1, self.max_shift or n)
+            shift = rng.integers(1, cap + 1, size=len(rotating))
             rotated = sequences.copy()
-            rotated[rotating] = rotate_segments(rotated[rotating], *segments.T)
+            rotated[rotating] = rotate_segments(rotated[rotating], start, stop, shift)
             candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)
 
             cand_fitness = self._score(problem.batch_fitness, candidates)

@@ -153,8 +153,9 @@ class ExperimentConfig:
         shared = sorted(set(self.params) & set(SHARED_PARAMS))
         if shared:
             raise ConfigError(f"params {shared} are set by the experiment's own fields")
-        # rejects params the optimizer does not take, and values it cannot run with
-        _make_optimizer(self, None).check_params()
+        # rejects params the optimizer does not take, and values it cannot run
+        # with; every run's seed is at least seed_base, so that one is checked
+        _make_optimizer(self, self.seed_base).check_params()
 
     def seeds(self) -> list[int]:
         return [self.seed_base + i for i in range(self.runs)]

@@ -11,12 +11,10 @@ when a component overshoots its upper bound and grows when it undershoots.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import check_number, check_positive
-from .errors import ConfigError, DegenerateFitnessWarning, DimensionMismatch
+from .errors import DegenerateFitnessWarning, DimensionMismatch
 
 #: |previous fitness| below this is treated as degenerate (no relative change).
 FITNESS_GUARD = 1e-300
@@ -25,72 +23,30 @@ FITNESS_GUARD = 1e-300
 REAR, FRONT = 0, 1
 
 
-@dataclass
-class LbnivParams:
-    """Step-scale constants: growth factor k, additive bias, initial epsilon."""
+def lbniv_update(x, d, eps, best, front, rear, bias: float) -> np.ndarray:
+    """Candidate vector of one agent from the neighbor-influenced move.
 
-    k: float = 2.0
-    bias: float = 0.001
-    eps0: float = 0.2
-
-    def __post_init__(self):
-        if check_number(self.k, "k") <= 1.0:
-            raise ConfigError(f"k must be > 1, got {self.k}")
-        check_number(self.bias, "bias")
-        check_positive(self.eps0, "eps0")
-
-
-@dataclass
-class ContinuousAgent:
-    """One candidate vector with its adaptive per-variable state."""
-
-    x: np.ndarray
-    fitness: float = np.inf
-    fitness_prev: float = np.inf
-    d: np.ndarray = field(default=None)
-    eps: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        dim = len(self.x)
-        if self.d is None:
-            self.d = np.zeros((dim, 2))
-        else:
-            self.d = np.asarray(self.d, dtype=float)
-        if self.eps is None:
-            self.eps = np.full((dim, 2), 0.2)
-        else:
-            self.eps = np.asarray(self.eps, dtype=float)
-        if self.d.shape != (dim, 2) or self.eps.shape != (dim, 2):
-            raise DimensionMismatch("d and eps must have shape (dim, 2)")
-
-
-def lbniv_update(
-    agent: ContinuousAgent,
-    best: np.ndarray,
-    front: np.ndarray,
-    rear: np.ndarray,
-    params: LbnivParams,
-) -> np.ndarray:
-    """Candidate vector from the neighbor-influenced move.
-
-    Componentwise: x + |best - rear| * d_rear * eps_rear
-    + |best - front| * d_front * eps_front + bias.  The caller clamps the
-    result to bounds and applies the epsilon update for violated components.
+    ``x``, ``eps``, ``best``, ``front`` and ``rear`` have shape (D,), ``d``
+    shape (D, 2).  Componentwise: x + |best - rear| * d_rear * eps
+    + |best - front| * d_front * eps + bias, with one step scale per
+    variable.  The caller clamps the result to bounds and applies the
+    epsilon update for violated components.
     """
-    x = np.asarray(agent.x, dtype=float)
-    best = np.asarray(best, dtype=float)
-    front = np.asarray(front, dtype=float)
-    rear = np.asarray(rear, dtype=float)
-    if not (x.shape == best.shape == front.shape == rear.shape):
+    x, d, eps, best, front, rear = (
+        np.asarray(a, dtype=float) for a in (x, d, eps, best, front, rear)
+    )
+    if not x.shape == eps.shape == best.shape == front.shape == rear.shape or (
+        d.shape != x.shape + (2,)
+    ):
         raise DimensionMismatch(
-            f"vector shapes differ: {x.shape}, {best.shape}, {front.shape}, {rear.shape}"
+            f"shapes differ: x {x.shape}, d {d.shape}, eps {eps.shape}, "
+            f"best {best.shape}, front {front.shape}, rear {rear.shape}"
         )
     return (
         x
-        + np.abs(best - rear) * agent.d[:, REAR] * agent.eps[:, REAR]
-        + np.abs(best - front) * agent.d[:, FRONT] * agent.eps[:, FRONT]
-        + params.bias
+        + np.abs(best - rear) * d[:, REAR] * eps
+        + np.abs(best - front) * d[:, FRONT] * eps
+        + bias
     )
 
 
@@ -123,6 +79,17 @@ def update_epsilon(eps: float, x: float, bounds: tuple[float, float], k: float) 
 
 
 # --- vectorized forms used by the population engine --------------------------
+
+
+def lbniv_move_batch(x, best, d, eps, rear, front, bias: float) -> np.ndarray:
+    """lbniv_update over a population: ``x``, ``eps``, ``rear`` and ``front``
+    have shape (N, D), ``d`` shape (N, D, 2) and ``best`` shape (D,)."""
+    return (
+        x
+        + np.abs(best[None, :] - rear) * d[:, :, REAR] * eps
+        + np.abs(best[None, :] - front) * d[:, :, FRONT] * eps
+        + bias
+    )
 
 
 def update_d_batch(

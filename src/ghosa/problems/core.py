@@ -24,9 +24,8 @@ class SequenceProblem:
     best_known: float | None = None
 
     def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.array(
-            [rng.permutation(self.dimension) + 1 for _ in range(count)], dtype=np.int64
-        )
+        ordered = np.arange(1, self.dimension + 1, dtype=np.int64)
+        return rng.permuted(np.tile(ordered, (count, 1)), axis=1)
 
     def batch_fitness(self, sequences: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..base import check_positive
 from ..errors import (
     DisconnectedPath,
     InstanceError,
@@ -113,8 +114,8 @@ class RoadNetworkProblem(SequenceProblem):
 
     def __init__(self, network: RoadNetwork, awt_noise: float = 0.0):
         self.network = network
-        self.awt_noise = awt_noise
-        self.dynamic = awt_noise > 0.0
+        self.awt_noise = check_positive(awt_noise, "awt_noise", strict=False)
+        self.dynamic = self.awt_noise > 0.0
         self.node_ids = sorted(network.nodes)
         index = {node: i for i, node in enumerate(self.node_ids)}
         self.dimension = len(self.node_ids)

@@ -140,6 +140,7 @@ def test_config_error_exit_code(capsys):
         ("--problem", "benchmark", "--instance", "f1", "--dim", "-3", "--iters", "2"),
         ("--problem", "benchmark", "--instance", "f6", "--iters", "50", "--target", "nan"),
         ("--problem", "benchmark", "--instance", "f6", "--iters", "50", "--target", "inf"),
+        ("--problem", "benchmark", "--instance", "f6", "--iters", "5", "--seed", "-1"),
     ]:
         code, _, _ = run_cli(capsys, "run", *args, "--runs", "1")
         assert code == 1, args

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from ghosa import ContinuousGhosaOptimizer, benchmark_function
-from ghosa.continuous import ContinuousGhosaOptimizer as CGO
 from ghosa.errors import ConfigError
-from ghosa.lbniv import ContinuousAgent, LbnivParams, lbniv_update
+from ghosa.lbniv import lbniv_move_batch, lbniv_update
 from ghosa.operators import apply_cases
 
 
@@ -79,16 +78,12 @@ class TestVectorizedMoveMatchesPureOps:
         rear = np.roll(x, 1, axis=0)
         front = np.roll(x, -1, axis=0)
 
-        engine = CGO(bias=0.001)
-        moved = engine._lbniv_move(x, best, d, eps, rear, front)
-
-        params = LbnivParams(bias=0.001)
+        moved = lbniv_move_batch(x, best, d, eps, rear, front, 0.001)
+        assert moved.shape == (n, dim)
         for i in range(n):
             # the engine keeps one step scale per variable for both neighbors
-            agent_eps = np.repeat(eps[i][:, None], 2, axis=1)
-            agent = ContinuousAgent(x=x[i], d=d[i], eps=agent_eps)
-            expected = lbniv_update(agent, best, front[i], rear[i], params)
-            assert np.allclose(moved[i], expected)
+            expected = lbniv_update(x[i], d[i], eps[i], best, front[i], rear[i], 0.001)
+            assert np.array_equal(moved[i], expected)
 
     def test_case_application_shapes(self, rng):
         x = rng.normal(size=(6, 5))

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import ghosa.engine
+
 from conftest import random_knapsack, random_qap, random_roadnet, random_tsp
 from ghosa import (
     ContinuousGhosaOptimizer,
@@ -22,6 +24,7 @@ from ghosa.base import (
     check_window_fraction,
 )
 from ghosa.errors import ConfigError
+from ghosa.operators import rotate_segments
 from ghosa.problems import SequenceProblem
 
 
@@ -234,6 +237,49 @@ class TestOptimize:
             population_size=8, iterations=120, replace_fraction=0.0, seed=21
         ).fit(prob)
         assert np.all(long.population_fitness_ <= short.population_fitness_ + 1e-12)
+
+
+class TestBatchedDraws:
+    """The draws the engine makes for a whole population at once."""
+
+    @pytest.mark.parametrize(
+        "cls, make, n",
+        [(TspProblem, random_tsp, 12), (QapProblem, random_qap, 8)],
+        ids=["tsp-segment", "qap-whole"],
+    )
+    @pytest.mark.parametrize("max_shift", [None, 2])
+    def test_rotation_segments_and_shifts(self, monkeypatch, rng, cls, make, n, max_shift):
+        calls = []
+
+        def recorded(x, starts, stops, shifts):
+            calls.append(np.broadcast_arrays(starts, stops, shifts))
+            return rotate_segments(x, starts, stops, shifts)
+
+        monkeypatch.setattr(ghosa.engine, "rotate_segments", recorded)
+        prob = cls(make(rng, n=n))
+        GhosaOptimizer(
+            population_size=20, iterations=100, swarm_rate=1.0, max_shift=max_shift, seed=4
+        ).fit(prob)
+        start, stop, shift = (np.concatenate(a) for a in zip(*calls))
+        assert len(shift) == 20 * 100
+        assert np.all(0 <= start) and np.all(start + 2 <= stop) and np.all(stop <= n)
+        assert np.all(1 <= shift) and np.all(shift <= stop - start - 1)
+        if max_shift is not None:
+            assert np.all(shift <= max_shift)
+        if prob.rotation_scope == "whole":
+            assert np.all(start == 0) and np.all(stop == n)
+        else:
+            assert set((stop - start).tolist()) == set(range(2, n + 1))
+        assert set(shift.tolist()) == set(range(1, (max_shift or n - 1) + 1))
+
+    @pytest.mark.parametrize("n, count", [(1, 3), (7, 1), (60, 30)])
+    def test_initial_population_matches_per_row_permutations(self, n, count):
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = ConstantProblem(n).initial_population(rng, count)
+        expected = np.array([ref_rng.permutation(n) + 1 for _ in range(count)])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEvaluationCount:

@@ -26,7 +26,7 @@ from ghosa.harness import (
     resolve_instance_path,
 )
 from ghosa.ingest import serialize_orlib_mknap, serialize_roadnet
-from conftest import random_knapsack, random_roadnet  # noqa: E402
+from conftest import FIXTURES, random_knapsack, random_roadnet  # noqa: E402
 
 
 class TestAggregateStats:
@@ -229,6 +229,17 @@ class TestRunExperiment:
                              params={"swarm_rate": 2.0})
         with pytest.raises(ConfigError, match="target must be a number"):
             ExperimentConfig(problem="benchmark", instance="f18", target=float("nan"))
+
+    def test_negative_awt_noise_is_a_config_error(self):
+        cfg = ExperimentConfig(problem="roadnet", instance=f"{FIXTURES}/grid4.road",
+                               runs=1, iterations=5, awt_noise=-0.5)
+        with pytest.raises(ConfigError, match="awt_noise must be >= 0"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("seed_base", [-1, 1.5])
+    def test_bad_seed_fails_when_configured(self, seed_base):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(problem="benchmark", instance="f18", seed_base=seed_base)
 
 
 class TestExport:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghosa import ContinuousAgent, LbnivParams, lbniv_update, update_d, update_epsilon
+from ghosa import ContinuousGhosaOptimizer, lbniv_update, update_d, update_epsilon
 from ghosa.errors import ConfigError, DegenerateFitnessWarning, DimensionMismatch
 from ghosa.lbniv import update_d_batch, update_epsilon_batch
 
@@ -52,46 +52,54 @@ class TestUpdateEpsilon:
 
 class TestLbnivUpdate:
     def test_hand_computed_one_dimensional_move(self):
-        agent = ContinuousAgent(
-            x=[1.0], d=np.full((1, 2), 0.5), eps=np.full((1, 2), 0.2)
+        out = lbniv_update(
+            x=np.array([1.0]), d=np.full((1, 2), 0.5), eps=np.array([0.2]),
+            best=np.array([3.0]), front=np.array([4.0]), rear=np.array([2.0]),
+            bias=0.001,
         )
-        params = LbnivParams(k=2.0, bias=0.001, eps0=0.2)
-        out = lbniv_update(agent, best=np.array([3.0]), front=np.array([4.0]),
-                           rear=np.array([2.0]), params=params)
         # 1 + |3-2|*0.5*0.2 + |3-4|*0.5*0.2 + 0.001
         assert out[0] == pytest.approx(1.201)
 
     def test_all_equal_moves_by_bias_only(self):
         x = np.array([0.5, -1.5, 3.0])
-        agent = ContinuousAgent(x=x, d=np.ones((3, 2)), eps=np.ones((3, 2)))
-        params = LbnivParams(bias=0.001)
-        out = lbniv_update(agent, best=x, front=x, rear=x, params=params)
+        out = lbniv_update(x, d=np.ones((3, 2)), eps=np.ones(3), best=x, front=x,
+                           rear=x, bias=0.001)
         assert np.allclose(out, x + 0.001)
 
     def test_zero_bias_zero_d_is_identity(self):
         x = np.array([2.0, -7.0])
-        agent = ContinuousAgent(x=x)  # d defaults to zeros
-        params = LbnivParams(bias=0.0)
-        out = lbniv_update(agent, best=np.array([1.0, 1.0]),
-                           front=np.array([0.0, 0.0]), rear=np.array([5.0, 5.0]),
-                           params=params)
+        out = lbniv_update(x, d=np.zeros((2, 2)), eps=np.full(2, 0.2),
+                           best=np.array([1.0, 1.0]), front=np.array([0.0, 0.0]),
+                           rear=np.array([5.0, 5.0]), bias=0.0)
         assert np.array_equal(out, x)
 
     def test_dimension_mismatch(self):
-        agent = ContinuousAgent(x=[1.0, 2.0])
+        x = np.array([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            lbniv_update(agent, best=np.zeros(3), front=np.zeros(2),
-                         rear=np.zeros(2), params=LbnivParams())
+            lbniv_update(x, d=np.zeros((2, 2)), eps=np.ones(2), best=np.zeros(3),
+                         front=np.zeros(2), rear=np.zeros(2), bias=0.0)
+        with pytest.raises(DimensionMismatch):
+            lbniv_update(x, d=np.zeros((2, 2)), eps=np.ones((2, 2)), best=x,
+                         front=x, rear=x, bias=0.0)
+        with pytest.raises(DimensionMismatch):
+            lbniv_update(x, d=np.zeros(2), eps=np.ones(2), best=x, front=x,
+                         rear=x, bias=0.0)
 
 
 class TestParams:
+    """The LBNIV settings are fields of ContinuousGhosaOptimizer, checked there."""
+
     def test_k_must_exceed_one(self):
-        with pytest.raises(ConfigError):
-            LbnivParams(k=1.0)
+        with pytest.raises(ConfigError, match="k must be > 1"):
+            ContinuousGhosaOptimizer(k=1.0).check_params()
 
     def test_eps0_positive(self):
-        with pytest.raises(ConfigError):
-            LbnivParams(eps0=0.0)
+        with pytest.raises(ConfigError, match="eps0"):
+            ContinuousGhosaOptimizer(eps0=0.0).check_params()
+
+    def test_bias_finite(self):
+        with pytest.raises(ConfigError, match="bias"):
+            ContinuousGhosaOptimizer(bias=float("nan")).check_params()
 
 
 class TestBatchEquivalence:

@@ -20,6 +20,7 @@ from ghosa import (
     tsp_tour_length,
 )
 from ghosa.errors import (
+    ConfigError,
     DisconnectedPath,
     InstanceError,
     InvalidPermutation,
@@ -458,3 +459,8 @@ class TestRoadNetworkProblem:
             problem.batch_fitness(np.array([[1, 3, 4, 2], [1, 4, 3, 2]])),
             [4.0, INFEASIBLE_FITNESS],
         )
+
+    @pytest.mark.parametrize("awt_noise", [-0.5, float("nan"), float("inf")])
+    def test_awt_noise_must_be_finite_and_non_negative(self, toy_roadnet, awt_noise):
+        with pytest.raises(ConfigError, match="awt_noise"):
+            RoadNetworkProblem(toy_roadnet, awt_noise=awt_noise)

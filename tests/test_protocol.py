@@ -85,6 +85,23 @@ def test_population_below_minimum_rejected(cls, population_size, rng):
     cls(population_size=population_size + 1, iterations=1).fit(problem)
 
 
+@pytest.mark.parametrize(
+    "cls",
+    [GhosaOptimizer, ContinuousGhosaOptimizer, ParticleSwarmOptimizer, GeneticAlgorithmOptimizer],
+)
+def test_seed_and_budget_must_be_integers(cls):
+    # a float, even 3.0, is no seed for np.random.default_rng and no size
+    for bad in (-1, 1.5, 3.0, "3", np.random.default_rng(0)):
+        with pytest.raises(ConfigError, match="seed"):
+            cls(seed=bad).check_params()
+    for good in (None, 0, np.int64(7), 2**70 + 1):
+        cls(seed=good).check_params()
+    with pytest.raises(ConfigError, match="population_size must be an integer"):
+        cls(population_size=6.0).check_params()
+    with pytest.raises(ConfigError, match="iterations must be an integer"):
+        cls(iterations=3.0).check_params()
+
+
 THIRD = 1.0 / 3.0
 SURFACE = {
     GhosaOptimizer: (
