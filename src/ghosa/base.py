@@ -123,9 +123,16 @@ class GhosaBase(PopulationOptimizer):
         check_replace_fraction(self.replace_fraction)
 
     def _shared(self) -> tuple[np.ndarray, int]:
-        """The case weights and the number of agents replaced per iteration."""
-        case_p = np.array([self.p_miss, self.p_catch, self.p_false], dtype=float)
-        return case_p, int(self.replace_fraction * self.population_size // 100)
+        """The case weights' CDF and the number of agents replaced per iteration."""
+        case_cdf = categorical_cdf([self.p_miss, self.p_catch, self.p_false])
+        return case_cdf, int(self.replace_fraction * self.population_size // 100)
+
+
+def categorical_cdf(p) -> np.ndarray:
+    """``p``'s cumsum scaled to end at 1; ``cdf.searchsorted(rng.random(k), side="right")``
+    draws what ``rng.choice(len(p), k, p=p)`` draws, without its per-call checks."""
+    cdf = np.cumsum(p, dtype=float)
+    return cdf / cdf[-1]
 
 
 def best_of(rows, fitness, best=None, sign: float = 1.0):

@@ -59,7 +59,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
         check_window_fraction(self.window_fraction)
 
     def _run(self, problem, rng):
-        case_p, replace_count = self._shared()
+        case_cdf, replace_count = self._shared()
         dim = problem.dim
         n_agents = self.population_size
         bounds = problem.bounds
@@ -76,10 +76,10 @@ class ContinuousGhosaOptimizer(GhosaBase):
         window_len = window_length(dim, self.window_fraction)
 
         while True:
-            cases = rng.choice(3, size=n_agents, p=case_p)
+            cases = case_cdf.searchsorted(rng.random(n_agents), side="right")
             rotate = rng.random(n_agents) < self.swarm_rate
             bait_u = rng.random(n_agents)
-            offset = int(rng.integers(0, dim - window_len + 1)) if window_len < dim else 0
+            offset = int(rng.integers(0, dim - window_len + 1))
             slots = np.arange(offset, offset + window_len)
 
             # change-of-position: trial the bait in every window slot
@@ -112,13 +112,9 @@ class ContinuousGhosaOptimizer(GhosaBase):
             moved = np.clip(moved, lo[None, :], hi[None, :])
             cand_fitness = self._score(problem.evaluate_batch, moved, rng=rng)
 
-            d = np.stack(
-                [
-                    update_d_batch(cand_fitness, fitness, moved, rear),
-                    update_d_batch(cand_fitness, fitness, moved, front),
-                ],
-                axis=2,
-            )
+            # d[..., 0] follows the rear neighbour, d[..., 1] the front one
+            d = np.stack([update_d_batch(cand_fitness, fitness, moved, nb)
+                          for nb in (rear, front)], axis=2)
 
             improved = cand_fitness < fitness
             x[improved] = moved[improved]

@@ -17,6 +17,7 @@ import numpy as np
 from .base import (
     GhosaBase,
     best_of,
+    categorical_cdf,
     check_int_at_least,
     check_probability,
     check_window_fraction,
@@ -59,7 +60,7 @@ class GhosaOptimizer(GhosaBase):
             check_int_at_least(self.max_shift, 1, "max_shift")
 
     def _run(self, problem, rng):
-        case_p, replace_count = self._shared()
+        case_cdf, replace_count = self._shared()
         n = problem.dimension
         n_agents = self.population_size
         sign = -1.0 if problem.sense == "max" else 1.0
@@ -70,20 +71,14 @@ class GhosaOptimizer(GhosaBase):
         fitness = self._score(problem.batch_fitness, sequences)
         best = best_of(sequences, fitness, sign=sign)
 
-        track_components = (
-            type(problem).component_values is not _BASE_COMPONENT_VALUES
-        )
+        track_components = type(problem).component_values is not _BASE_COMPONENT_VALUES
         self.trace_components_ = [] if track_components else None
-        last_components = (
-            problem.component_values(best[0]) if track_components else None
-        )
+        last_components = problem.component_values(best[0]) if track_components else None
 
         bait_counts = np.zeros(n)
         window_len = window_length(n, self.window_fraction)
         whole_rotation = getattr(problem, "rotation_scope", "whole") == "whole"
-        has_heuristic = (
-            type(problem).placement_cost is not _BASE_PLACEMENT_COST
-        )
+        has_heuristic = type(problem).placement_cost is not _BASE_PLACEMENT_COST
 
         while True:
             problem.prepare_iteration(rng)
@@ -91,14 +86,13 @@ class GhosaOptimizer(GhosaBase):
                 fitness = self._score(problem.batch_fitness, sequences)
 
             weights = 1.0 / (1.0 + bait_counts)
-            baits = rng.choice(n, size=n_agents, p=weights / weights.sum()) + 1
+            bait_cdf = categorical_cdf(weights / weights.sum())
+            baits = bait_cdf.searchsorted(rng.random(n_agents), side="right") + 1
             np.add.at(bait_counts, baits - 1, 1.0)
-            case_idx = rng.choice(3, size=n_agents, p=case_p)
+            case_idx = case_cdf.searchsorted(rng.random(n_agents), side="right")
             rotate = rng.random(n_agents) < self.swarm_rate
-            if window_len < n:
-                starts = rng.integers(0, n - window_len + 1, size=n_agents)
-            else:
-                starts = np.zeros(n_agents, dtype=np.int64)
+            # draws nothing from ``rng`` when the window is the whole string
+            starts = rng.integers(0, n - window_len + 1, size=n_agents)
 
             if has_heuristic:
                 windows = starts[:, None] + np.arange(window_len)

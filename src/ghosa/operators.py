@@ -136,7 +136,7 @@ def apply_cases(x, cases, positions, baits, *, permutation: bool) -> np.ndarray:
     if permutation:
         index[rows[catch], slots[catch]] = positions[catch]
         index[rows[catch], positions[catch]] = slots[catch]
-    out = np.take_along_axis(x, index, axis=1)
+    out = _gather(x, index)
     if not permutation:
         keep = cases != 2
         out[rows[keep], positions[keep]] = baits[keep]
@@ -144,9 +144,16 @@ def apply_cases(x, cases, positions, baits, *, permutation: bool) -> np.ndarray:
 
 
 def rotate_segments(x, starts, stops, shifts) -> np.ndarray:
-    """Rotate each row's segment [start, stop) right by ``shift``; scalars broadcast."""
+    """Rotate each row's segment [start, stop) right by ``shift``, with
+    0 <= shift <= stop - start; scalars broadcast."""
     cols = np.arange(x.shape[1])[None, :]
     start, stop, shift = (np.reshape(a, (-1, 1)) for a in (starts, stops, shifts))
-    inside = (start <= cols) & (cols < stop)
-    index = np.where(inside, start + (cols - start - shift) % (stop - start), cols)
-    return np.take_along_axis(x, index, axis=1)
+    src = cols - shift
+    src += (stop - start) * (src < start)
+    return _gather(x, np.where((start <= cols) & (cols < stop), src, cols))
+
+
+def _gather(x, index) -> np.ndarray:
+    """``np.take_along_axis(x, index, axis=1)`` as one take on the flattened rows."""
+    offsets = x.shape[1] * np.arange(len(x))[:, None]
+    return x.reshape(-1).take(index + offsets)

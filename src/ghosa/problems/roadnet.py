@@ -24,6 +24,9 @@ from ..errors import (
 from .core import SequenceProblem
 
 INFEASIBLE_FITNESS = 1e15
+#: rows a generation of remembered walks holds before ``batch_fitness`` starts another
+WALK_CACHE_ROWS = 4096
+_UNSEEN = object()
 
 
 @dataclass
@@ -107,6 +110,10 @@ class RoadNetworkProblem(SequenceProblem):
     ``network.edges``).  Rows are priority permutations of 1..n, and the walk
     marks each visited node in the row's own list by setting its priority to
     -1, which it never takes.
+
+    A walk depends on the row alone, not on the jitter, so ``batch_fitness``
+    walks only rows it did not score in this iteration or the last, and prices
+    every row with the current costs: re-scoring the incumbents walks no row.
     """
 
     sense = "min"
@@ -130,8 +137,10 @@ class RoadNetworkProblem(SequenceProblem):
         weights = np.array(list(network.edges.values()), dtype=float).reshape(-1, 2)
         self._travel, self._awt = weights[:, 0] / network.velocity, weights[:, 1]
         self._cost = (self._travel + self._awt).tolist()
+        self._walks, self._last_walks = {}, {}
 
     def prepare_iteration(self, rng: np.random.Generator) -> None:
+        self._walks, self._last_walks = {}, self._walks
         if self.awt_noise > 0.0:
             jitter = 1.0 + self.awt_noise * rng.uniform(-1.0, 1.0, size=len(self._awt))
             self._cost = (self._travel + self._awt * jitter).tolist()
@@ -165,11 +174,23 @@ class RoadNetworkProblem(SequenceProblem):
 
     def batch_fitness(self, sequences: np.ndarray) -> np.ndarray:
         cost = self._cost
-        capped = self.network.caps is not None
+        rows = np.asarray(sequences)
+        # exact keys: the int64 bytes of rows that cast losslessly, else the values
+        if np.can_cast(rows.dtype, np.int64):
+            keys = [row.tobytes() for row in rows.astype(np.int64, copy=False)]
+        else:
+            keys = map(tuple, rows.tolist())
         out = []
-        for row in np.asarray(sequences).tolist():
-            edges = self._walk(row)
-            if edges is None or capped and not self.network.path_feasible(self._path(edges)):
+        for row, key in zip(rows.tolist(), keys):
+            edges = self._walks.get(key, self._last_walks.get(key, _UNSEEN))
+            if edges is _UNSEEN:
+                edges = self._walk(row)
+                if edges is not None and self.network.caps is not None:
+                    edges = edges if self.network.path_feasible(self._path(edges)) else None
+            if len(self._walks) >= WALK_CACHE_ROWS:
+                self._walks, self._last_walks = {}, self._walks
+            self._walks[key] = edges
+            if edges is None:
                 out.append(INFEASIBLE_FITNESS)
                 continue
             # edge by edge in path order: ``sum`` compensates on Python >= 3.12

@@ -158,6 +158,23 @@ def test_options_the_kind_ignores_exit_one(capsys, tmp_path):
     assert "not qap" in err
 
 
+@pytest.mark.parametrize("problem, instance, noise, expected", [
+    ("roadnet", "grid4.road", "0.5", 0),
+    ("roadnet", "grid4.road", "-0.5", 1),
+    ("tsp", "ulysses16.tsp", "0.5", 1),
+])
+def test_awt_noise_option(capsys, problem, instance, noise, expected):
+    code, out, err = run_cli(
+        capsys, "run", "--problem", problem, "--instance", f"{FIXTURES}/{instance}",
+        "--awt-noise", noise, "--runs", "1", "--iters", "20",
+    )
+    assert code == expected, err
+    if expected:
+        assert "awt_noise" in err
+    else:
+        assert "grid4" in out
+
+
 def test_param_the_algorithm_lacks_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "run", "--problem", "benchmark", "--instance", "f6", "--algo", "PSO",

@@ -19,6 +19,7 @@ from ghosa import (
     tsp_tour_length,
 )
 from ghosa.base import (
+    categorical_cdf,
     check_case_probabilities,
     check_replace_fraction,
     check_window_fraction,
@@ -271,6 +272,20 @@ class TestBatchedDraws:
         else:
             assert set((stop - start).tolist()) == set(range(2, n + 1))
         assert set(shift.tolist()) == set(range(1, (max_shift or n - 1) + 1))
+
+    @pytest.mark.parametrize("n", [3, 100, 200])
+    def test_categorical_draws_match_choice(self, n):
+        weights_rng = np.random.default_rng(n)
+        for seed in range(20):
+            weights = 1.0 / (1.0 + weights_rng.integers(0, 6, size=n))
+            p = weights / weights.sum()
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (1, 50):
+                got = categorical_cdf(p).searchsorted(rng.random(size), side="right")
+                expected = ref_rng.choice(len(p), size, p=p)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n, count", [(1, 3), (7, 1), (60, 30)])
     def test_initial_population_matches_per_row_permutations(self, n, count):

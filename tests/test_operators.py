@@ -130,3 +130,31 @@ class TestKernelsMatchScalarOracles:
             segment = (int(starts[i]), int(starts[i] + lengths[i]))
             expected = attracting_prey_swarms(x[i], segment[0], int(shifts[i]), segment)
             assert out[i].tolist() == expected.tolist()
+
+    def test_rotate_segments_matches_roll(self, rng):
+        n = 7
+        x = np.array([rng.permutation(n) + 1 for _ in range(3)])
+        segments = [
+            (start, stop, shift)
+            for start in range(n)
+            for stop in range(start + 1, n + 1)
+            for shift in range(stop - start + 1)
+        ]
+        for start, stop, shift in segments:
+            expected = x.copy()
+            expected[:, start:stop] = np.roll(x[:, start:stop], shift, axis=1)
+            assert np.array_equal(rotate_segments(x, start, stop, shift), expected)
+        # one row per segment, as the engine draws them
+        rows = x[np.arange(len(segments)) % len(x)]
+        starts, stops, shifts = np.array(segments).T
+        out = rotate_segments(rows, starts, stops, shifts)
+        for row, got, (start, stop, shift) in zip(rows, out, segments):
+            expected = row.copy()
+            expected[start:stop] = np.roll(row[start:stop], shift)
+            assert got.tolist() == expected.tolist()
+        # the continuous engine rotates whole strings, one shift per row
+        shifts = np.arange(1, n)
+        values = rng.random((n - 1, n))
+        out = rotate_segments(values, 0, n, shifts)
+        for row, got, shift in zip(values, out, shifts):
+            assert np.array_equal(got, np.roll(row, shift))

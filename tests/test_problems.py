@@ -29,7 +29,7 @@ from ghosa.errors import (
     ThresholdOutOfRange,
     WrongEndpoints,
 )
-from ghosa.problems.roadnet import INFEASIBLE_FITNESS
+from ghosa.problems.roadnet import INFEASIBLE_FITNESS, WALK_CACHE_ROWS
 from conftest import grid_roadnet, random_roadnet
 
 
@@ -464,3 +464,80 @@ class TestRoadNetworkProblem:
     def test_awt_noise_must_be_finite_and_non_negative(self, toy_roadnet, awt_noise):
         with pytest.raises(ConfigError, match="awt_noise"):
             RoadNetworkProblem(toy_roadnet, awt_noise=awt_noise)
+
+    @staticmethod
+    def count_walks(monkeypatch, problem) -> list:
+        """Record one entry per ``_walk`` call on ``problem``."""
+        walks, walk = [], problem._walk
+
+        def counted(row):
+            walks.append(tuple(row))
+            return walk(row)
+
+        monkeypatch.setattr(problem, "_walk", counted)
+        return walks
+
+    def test_dynamic_rescore_walks_no_row(self, monkeypatch):
+        problem = RoadNetworkProblem(grid_roadnet(np.random.default_rng(9)), awt_noise=0.5)
+        walks, calls, score = self.count_walks(monkeypatch, problem), [], problem.batch_fitness
+
+        def recorded(rows):
+            before = len(walks)
+            fitness = score(rows)
+            calls.append((len(rows), len(walks) - before))
+            return fitness
+
+        monkeypatch.setattr(problem, "batch_fitness", recorded)
+        GhosaOptimizer(population_size=50, iterations=40, seed=2).fit(problem)
+        # the initial population, then per iteration the re-score of the
+        # incumbents, the candidates and the 5 fresh agents
+        assert [rows for rows, _ in calls] == [50] + [50, 50, 5] * 40
+        rescore, candidates, fresh = (calls[1 + k :: 3] for k in range(3))
+        assert all(walked == 0 for _, walked in rescore)
+        assert all(walked <= rows for rows, walked in candidates + fresh)
+        assert 0 < sum(walked for _, walked in candidates)
+
+    def test_walk_cache_stays_bounded_without_prepare_iteration(self):
+        net = ORACLE_NETS["random-14"]()
+        problem = RoadNetworkProblem(net)
+        rng = np.random.default_rng(4)
+        scored = 0
+        for _ in range(30):
+            rows = rng.permuted(np.tile(np.arange(1, 15), (300, 1)), axis=1)
+            fitness = problem.batch_fitness(rows)
+            assert np.array_equal(fitness, RoadNetworkProblem(net).batch_fitness(rows))
+            assert len(problem._walks) <= WALK_CACHE_ROWS
+            assert len(problem._last_walks) <= WALK_CACHE_ROWS
+            scored += len(rows)
+        assert scored > 2 * WALK_CACHE_ROWS
+        assert len(problem._last_walks) == WALK_CACHE_ROWS
+
+    def test_row_dtype_does_not_change_the_score(self, monkeypatch):
+        net = ORACLE_NETS["random-8"]()
+        rng = np.random.default_rng(2)
+        rows = np.array([rng.permutation(8) + 1 for _ in range(60)])
+        expected = RoadNetworkProblem(net).batch_fitness(rows)
+        assert INFEASIBLE_FITNESS in expected and expected.min() < INFEASIBLE_FITNESS
+        problem = RoadNetworkProblem(net)
+        walks = self.count_walks(monkeypatch, problem)
+        for given in (rows, rows.astype(np.int32), rows.tolist()):
+            assert problem.batch_fitness(given).tobytes() == expected.tobytes()
+        # the three forms of a row share one remembered walk
+        assert len(walks) == len(set(map(tuple, rows.tolist())))
+        # other dtypes are remembered by value; a cast to int64 would tie
+        # the priorities of ``rows / 10``
+        for given in (rows.astype(float), rows.astype(np.uint64), rows / 10):
+            assert problem.batch_fitness(given).tobytes() == expected.tobytes()
+
+    def test_refit_matches_a_fresh_problem(self):
+        net = grid_roadnet(np.random.default_rng(9))
+        used = RoadNetworkProblem(net, awt_noise=0.5)
+
+        def fit(problem):
+            return GhosaOptimizer(population_size=30, iterations=40, seed=1).fit(problem)
+
+        fit(used)
+        again, fresh = fit(used), fit(RoadNetworkProblem(net, awt_noise=0.5))
+        for name in ("trace_", "best_sequence_", "population_", "population_fitness_"):
+            assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+        assert again.evaluations_ == fresh.evaluations_
