@@ -117,43 +117,46 @@ def apply_cases(x, cases, positions, baits, *, permutation: bool) -> np.ndarray:
     Row for row this is ``baiting``, except that on value strings miss catch
     drops the last entry to keep the length.
     """
-    rows = np.arange(len(x))
-    last = x.shape[1] - 1
+    n = x.shape[1]
+    row_start = n * np.arange(len(x))
     miss, catch = cases == 0, cases == 1
     if permutation:
         slots = np.argmax(x == baits[:, None], axis=1)
         src = np.where(miss, slots, positions)
     else:
-        src = np.where(miss, last, positions)
-    dst = np.where(miss, positions, last)
+        src = np.where(miss, n - 1, positions)
+    dst = np.where(miss, positions, n - 1)
     src[catch] = dst[catch] = positions[catch]
-    # miss and false catch move slot s to slot t, shifting the events between
-    # by one; catch moves nothing here, then swaps or overwrites below
-    cols = np.arange(x.shape[1])[None, :]
-    s, t = src[:, None], dst[:, None]
-    shifted = cols + ((s <= cols) & (cols < t)) - ((t < cols) & (cols <= s))
-    index = np.where(cols == t, s, shifted)
+    # miss and false catch move slot s to slot t: the slots in [lo, hi) take
+    # the event ``step`` slots along, and t takes s's event; catch moves
+    # nothing here, then swaps or overwrites below
+    forward = src < dst
+    lo = np.where(forward, src, dst + 1)[:, None]
+    hi = np.where(forward, dst, src + 1)[:, None]
+    step = np.where(forward, 1, -1)[:, None]
+    cols = np.arange(n)
+    index = row_start[:, None] + cols
+    index += step * ((lo <= cols) & (cols < hi))
+    flat = index.reshape(-1)
+    flat[row_start + dst] = row_start + src
     if permutation:
-        index[rows[catch], slots[catch]] = positions[catch]
-        index[rows[catch], positions[catch]] = slots[catch]
-    out = _gather(x, index)
+        at = row_start[catch]
+        flat[at + slots[catch]] = at + positions[catch]
+        flat[at + positions[catch]] = at + slots[catch]
+    out = x.reshape(-1).take(index)
     if not permutation:
         keep = cases != 2
-        out[rows[keep], positions[keep]] = baits[keep]
+        out.reshape(-1)[row_start[keep] + positions[keep]] = baits[keep]
     return out
 
 
 def rotate_segments(x, starts, stops, shifts) -> np.ndarray:
     """Rotate each row's segment [start, stop) right by ``shift``, with
     0 <= shift <= stop - start; scalars broadcast."""
-    cols = np.arange(x.shape[1])[None, :]
+    n = x.shape[1]
+    cols = np.arange(n)
     start, stop, shift = (np.reshape(a, (-1, 1)) for a in (starts, stops, shifts))
     src = cols - shift
     src += (stop - start) * (src < start)
-    return _gather(x, np.where((start <= cols) & (cols < stop), src, cols))
-
-
-def _gather(x, index) -> np.ndarray:
-    """``np.take_along_axis(x, index, axis=1)`` as one take on the flattened rows."""
-    offsets = x.shape[1] * np.arange(len(x))[:, None]
-    return x.reshape(-1).take(index + offsets)
+    index = np.where((start <= cols) & (cols < stop), src, cols)
+    return x.reshape(-1).take(index + n * np.arange(len(x))[:, None])

@@ -132,17 +132,31 @@ class TspProblem(SequenceProblem):
         self.dimension = instance.n
         self.name = instance.name or f"tsp{instance.n}"
         self.best_known = instance.best_known
-        self._d = instance.distance_matrix()
+        # the kernels gather through flat indices: the distance between
+        # cities i and j (1..n) is _flat_d[i*n + j - (n+1)]
+        self._flat_d = np.ascontiguousarray(instance.distance_matrix()).reshape(-1)
 
     def batch_fitness(self, sequences: np.ndarray) -> np.ndarray:
-        idx = sequences - 1
-        return self._d[idx, np.roll(idx, -1, axis=1)].sum(axis=1)
+        n = self.dimension
+        flat = np.multiply(sequences, n, dtype=np.intp)
+        flat[:, :-1] += sequences[:, 1:]
+        flat[:, -1] += sequences[:, 0]
+        flat -= n + 1
+        return self._flat_d.take(flat).sum(axis=1)
 
     def placement_cost(self, sequences, baits, positions) -> np.ndarray:
-        # Insertion delta for the bait city ahead of each candidate slot.
-        seq = np.asarray(sequences) - 1
-        rows = np.arange(len(seq))[:, None]
-        nxt = seq[rows, positions]
-        prv = seq[rows, positions - 1]
-        b = (np.asarray(baits) - 1)[:, None]
-        return self._d[prv, b] + self._d[b, nxt] - self._d[prv, nxt]
+        # Insertion delta for the bait city ahead of each candidate slot;
+        # slot 0 follows the row's own last city.
+        seq = np.asarray(sequences)
+        n, length = self.dimension, seq.shape[1]
+        row_start = length * np.arange(len(seq))[:, None]
+        nxt = seq.reshape(-1).take(positions + row_start)
+        prv = seq.reshape(-1).take((positions - 1) % length + row_start)
+        prv = np.multiply(prv, n, dtype=np.intp)
+        prv -= n + 1
+        b = np.asarray(baits, dtype=np.intp)[:, None]
+        return (
+            self._flat_d.take(prv + b)
+            + self._flat_d.take(b * n - (n + 1) + nxt)
+            - self._flat_d.take(prv + nxt)
+        )

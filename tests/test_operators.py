@@ -118,6 +118,21 @@ class TestKernelsMatchScalarOracles:
             assert out[i].tolist() == expected.tolist()
         assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_value_rows_equal_baiting(self, n, rng):
+        # every case at the first, a middle and the last slot; on value
+        # strings miss catch inserts and drops the last entry
+        grid = [(case, pos) for case in range(3) for pos in sorted({0, n // 2, n - 1})]
+        cases, positions = (np.array(a) for a in zip(*grid))
+        x = rng.normal(size=(len(grid), n))
+        baits = rng.normal(size=len(grid))
+        before = x.copy()
+        out = apply_cases(x, cases, positions, baits, permutation=False)
+        for i, (case, pos) in enumerate(grid):
+            expected = baiting(x[i], baits[i], int(pos), self.CASES[case], permutation=False)
+            assert np.array_equal(out[i], expected[:n])
+        assert np.array_equal(x, before)
+
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_rotated_rows_equal_attracting_prey_swarms(self, n, rng):
         rows = 60

@@ -1,0 +1,138 @@
+"""Seeded fits pinned to exact values.
+
+Replay tests compare two runs of the same code, so they cannot see a kernel
+rewrite that changes results.  These fits pin the best fitness (as
+``float.hex``) and the sha256 of the trace and of the best row, as recorded
+at commit 8133004 with numpy 2.4 on x86-64.  A change that alters any scored
+value, draw or tie-break changes them.
+
+One ulp of difference flips accept decisions, so every pinned fit scores
+with integer values or correctly rounded operations (+, -, *, /, sqrt),
+which give the same bits on any IEEE platform.  numpy's ``cos`` and
+``arccos`` may round differently by CPU and numpy version: the continuous
+fit uses the sphere, not Rastrigin, and the GEO fit relies on its distances
+being floored to integers far from a rounding edge, which
+``test_geo_distances_are_far_from_an_integer_edge`` checks.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from conftest import FIXTURES, random_knapsack, random_qap
+from ghosa import (
+    ContinuousGhosaOptimizer,
+    GhosaOptimizer,
+    KnapsackProblem,
+    QapProblem,
+    RoadNetworkProblem,
+    TspInstance,
+    TspProblem,
+    benchmark_function,
+)
+from ghosa.ingest import load_instance
+from ghosa.problems.tsp import EARTH_RADIUS, _geo_radians
+
+
+def _ulysses16():
+    return TspProblem(load_instance(f"{FIXTURES}/ulysses16.tsp", "TSPLIB").payload)
+
+
+def _euc60():
+    coords = np.random.default_rng(60).uniform(0, 1000, size=(60, 2))
+    return TspProblem(TspInstance(n=60, coords=coords, metric="EUC_2D"))
+
+
+def _grid4_noise():
+    net = load_instance(f"{FIXTURES}/grid4.road", "ROADNET").payload
+    return RoadNetworkProblem(net, awt_noise=0.5)
+
+
+# name -> (problem factory, optimizer); TSP n=16 scans its whole string,
+# TSP n=60 scans a 15-slot window and rotates segments
+CASES = {
+    "tsp-ulysses16-geo": (
+        _ulysses16, lambda: GhosaOptimizer(population_size=20, iterations=150, seed=5)),
+    "tsp-euc60": (
+        _euc60, lambda: GhosaOptimizer(population_size=30, iterations=150, seed=6)),
+    "qap12-symmetric": (
+        lambda: QapProblem(random_qap(np.random.default_rng(12), n=12)),
+        lambda: GhosaOptimizer(population_size=20, iterations=150, seed=7)),
+    "knapsack3x30": (
+        lambda: KnapsackProblem(random_knapsack(np.random.default_rng(3), m=3, n=30)),
+        lambda: GhosaOptimizer(population_size=20, iterations=100, seed=8)),
+    "road-grid4-noise": (
+        _grid4_noise, lambda: GhosaOptimizer(population_size=20, iterations=60, seed=9)),
+    "continuous-sphere-d10": (
+        lambda: benchmark_function("f1", dim=10),
+        lambda: ContinuousGhosaOptimizer(population_size=20, iterations=100, seed=10)),
+}
+
+# name -> (best_fitness_.hex(), sha256 of trace_, sha256 of the best row)
+PINNED = {
+    "continuous-sphere-d10": (
+        "0x1.b861d2815e4d2p+3",
+        "570060f2047f37603c67b727e8422926ec58dd798282e146818da0459db0cd78",
+        "7a1793d65390978af306d89293aa3feb744dc739ae750b19dca75712291dcbff",
+    ),
+    "knapsack3x30": (
+        "0x1.fe80000000000p+9",
+        "cf52cc0c8faa6c2623cc1283a3882fb4e27751e53f0d2a7a14e55d2a9d18a067",
+        "001b0f6929a8d48c82182aac6237e00d9a541eff5d997e7de5f49314b001f2d6",
+    ),
+    "qap12-symmetric": (
+        "0x1.4170000000000p+13",
+        "d367a3c90d70df64ae762382c3ecb55b3908dc4b2239fc4b249ee30bcd750f57",
+        "62510430898dbfc6836592eff25a9aca5572812bcb0170e621c2352dcaebe23d",
+    ),
+    "road-grid4-noise": (
+        "0x1.badaecd874b14p+3",
+        "951d9a906c291ab9dd51df40aa943c80bf211c9062cceee3911ee2277338703e",
+        "22cf8dbfe1b6cccb589d656e26552af64dff4ee20f452426a75c8da5d7a28eda",
+    ),
+    "tsp-euc60": (
+        "0x1.1190000000000p+14",
+        "d27b630202ac81cc6b7d7e95f7ebe4199499f460dcfc599fe81e5fab7661a06c",
+        "b61f3f463adcae623db23821b212407eadd85232fa3be95814af906136e70d23",
+    ),
+    "tsp-ulysses16-geo": (
+        "0x1.ecb0000000000p+12",
+        "4d9b5e4cd069540b3a9f30bec6aa404c78ed89db392a82d306931d462d1338d8",
+        "c27e9cc8132f64af8d576f7a6c5205a494bd7f23109fe18748efba80736b5943",
+    ),
+}
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def fingerprint(name):
+    make_problem, make_optimizer = CASES[name]
+    opt = make_optimizer().fit(make_problem())
+    best = opt.best_x_ if hasattr(opt, "best_x_") else opt.best_sequence_
+    return (
+        float(opt.best_fitness_).hex(),
+        _sha(np.asarray(opt.trace_, dtype=np.float64)),
+        _sha(np.asarray(best, dtype=np.float64)),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_seeded_fit_matches_pinned_values(name):
+    assert fingerprint(name) == PINNED[name]
+
+
+def test_geo_distances_are_far_from_an_integer_edge():
+    # GEO floors R * arccos(...) + 1; a few ulps in cos/arccos move these
+    # distances by about 1e-10 km, far inside the margin, so the integer
+    # table and the GEO pin do not depend on how the platform rounds them
+    coords = _ulysses16().instance.coords
+    lat, lon = _geo_radians(coords[:, 0]), _geo_radians(coords[:, 1])
+    q1 = np.cos(lon[:, None] - lon[None, :])
+    q2 = np.cos(lat[:, None] - lat[None, :])
+    q3 = np.cos(lat[:, None] + lat[None, :])
+    arc = EARTH_RADIUS * np.arccos(np.clip(0.5 * ((1 + q1) * q2 - (1 - q1) * q3), -1, 1))
+    off_diagonal = ~np.eye(len(coords), dtype=bool)
+    assert np.abs(arc - np.rint(arc))[off_diagonal].min() > 1e-6

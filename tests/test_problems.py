@@ -108,6 +108,52 @@ class TestTsp:
         expected = min(range(3), key=insertion_delta)
         assert int(np.argmin(costs[0])) == expected == 2
 
+    @staticmethod
+    def _instance(metric, n, rng):
+        if metric == "EXPLICIT":
+            m = rng.uniform(1, 100, (n, n))
+            m = np.rint(m + m.T)
+            np.fill_diagonal(m, 0.0)
+            return TspInstance(n=n, matrix=m, metric=metric)
+        if metric == "GEO":
+            # degrees.minutes latitude and longitude, as in TSPLIB files
+            coords = np.column_stack([rng.uniform(-80, 80, n), rng.uniform(-170, 170, n)])
+            return TspInstance(n=n, coords=np.round(coords, 2), metric=metric)
+        return TspInstance(n=n, coords=rng.uniform(0, 1000, (n, 2)), metric=metric)
+
+    # uint8 rows: city * n overflows the rows' own dtype at n=23
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("metric", ["EUC_2D", "ATT", "GEO", "EXPLICIT", "EUCLID_RAW"])
+    def test_batch_fitness_equals_tour_length(self, metric, dtype, rng):
+        inst = self._instance(metric, 23, rng)
+        tours = rng.permuted(np.tile(np.arange(1, 24), (12, 1)), axis=1)
+        got = TspProblem(inst).batch_fitness(tours.astype(dtype))
+        assert got.shape == (12,)
+        for tour, value in zip(tours, got):
+            assert value == tsp_tour_length(inst, tour)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("metric", ["EUC_2D", "GEO", "EUCLID_RAW"])
+    def test_placement_cost_is_the_insertion_delta_per_row(self, metric, dtype, rng):
+        # windows at the start and at the end of the string, on several rows:
+        # slot 0 follows the row's own last city, not another row's
+        n, rows, width = 17, 6, 5
+        inst = self._instance(metric, n, rng)
+        d = inst.distance_matrix()
+        tours = rng.permuted(np.tile(np.arange(1, n + 1), (rows, 1)), axis=1)
+        baits = rng.integers(1, n + 1, rows)
+        starts = np.array([0, 0, n - width, 6, 0, n - width])
+        windows = starts[:, None] + np.arange(width)
+        got = TspProblem(inst).placement_cost(
+            tours.astype(dtype), baits.astype(dtype), windows
+        )
+        assert got.shape == (rows, width)
+        for r in range(rows):
+            tour, b = tours[r].tolist(), int(baits[r]) - 1
+            for k, slot in enumerate(windows[r]):
+                prv, nxt = tour[slot - 1] - 1, tour[slot] - 1
+                assert got[r, k] == d[prv, b] + d[b, nxt] - d[prv, nxt]
+
     def test_explicit_requires_matrix(self):
         with pytest.raises(InstanceError):
             TspInstance(n=3, metric="EXPLICIT")
