@@ -32,8 +32,9 @@ class PopulationOptimizer:
     A subclass is a ``dataclass(eq=False, repr=False)`` whose fields are its
     remaining parameters.  It extends ``check_params`` and implements
     ``_run(problem, rng)``: a generator that scores rows only through
-    ``_score``, keeps its best solution and final population as fitted
-    attributes, and yields the global best fitness after each iteration.
+    ``_score``, keeps its best solution as a fitted attribute (the GHOSA
+    engines keep their final population too), and yields the global best
+    fitness after each iteration.
     ``fit`` runs ``check_params``, seeds ``rng`` from ``seed`` and takes at
     most ``iterations`` values, stopping as soon as one reaches ``target``
     in the problem's ``sense``.  The generator is never resumed after the
@@ -110,7 +111,11 @@ class PopulationOptimizer:
 
 @dataclass(eq=False, repr=False)
 class GhosaBase(PopulationOptimizer):
-    """The parameters both GHOSA engines take: worst-agent replacement and case weights."""
+    """Both GHOSA engines' shared parameters and the step that ends each iteration.
+
+    A subclass implements ``_fresh(problem, rng, count) -> (rows, fitness)``,
+    ``count`` scored rows from ``problem.initial_population``.
+    """
 
     replace_fraction: float = 10.0
     p_miss: float = 1.0 / 3.0
@@ -122,10 +127,24 @@ class GhosaBase(PopulationOptimizer):
         check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
         check_replace_fraction(self.replace_fraction)
 
-    def _shared(self) -> tuple[np.ndarray, int]:
-        """The case weights' CDF and the number of agents replaced per iteration."""
-        case_cdf = categorical_cdf([self.p_miss, self.p_catch, self.p_false])
-        return case_cdf, int(self.replace_fraction * self.population_size // 100)
+    def _survive(self, problem, rng, rows, fitness, cand, cand_fitness, best, sign=1.0):
+        """Greedy accept, then redraw the worst rows through ``_fresh``, in place.
+
+        A candidate replaces its row only if strictly better; the redrawn rows
+        are the tail of the stable sort.  The best is taken before and after
+        the redraw, so it never worsens; ties keep the older one.  Returns it
+        and the redrawn indices.
+        """
+        improved = sign * cand_fitness < sign * fitness
+        rows[improved] = cand[improved]
+        fitness[improved] = cand_fitness[improved]
+        best = best_of(rows, fitness, best, sign)
+        count = int(self.replace_fraction * self.population_size // 100)
+        if not count:
+            return best, np.arange(0)
+        worst = np.argsort(sign * fitness, kind="stable")[len(fitness) - count :]
+        rows[worst], fitness[worst] = self._fresh(problem, rng, count)
+        return best_of(rows, fitness, best, sign), worst
 
 
 def categorical_cdf(p) -> np.ndarray:
@@ -141,11 +160,6 @@ def best_of(rows, fitness, best=None, sign: float = 1.0):
     if best is not None and not sign * fitness[i] < sign * best[1]:
         return best
     return rows[i].copy(), float(fitness[i])
-
-
-def worst_rows(fitness, count: int, sign: float = 1.0) -> np.ndarray:
-    """Indices of the ``count`` worst rows: the tail of the stable argsort."""
-    return np.argsort(sign * fitness, kind="stable")[len(fitness) - count :]
 
 
 def check_number(value, name: str) -> float:

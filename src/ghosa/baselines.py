@@ -42,7 +42,7 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
         span = hi - lo
         n, dim = self.population_size, problem.dim
 
-        x = rng.uniform(lo, hi, size=(n, dim))
+        x = problem.initial_population(rng, n)
         v = np.zeros((n, dim))
         vmax = self.velocity_clamp * span
         fit = self._score(problem.evaluate_batch, x, rng=rng)
@@ -95,7 +95,7 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
         n, dim = self.population_size, problem.dim
         mrate = self.mutation_rate if self.mutation_rate is not None else 1.0 / dim
 
-        x = rng.uniform(lo, hi, size=(n, dim))
+        x = problem.initial_population(rng, n)
         fit = self._score(problem.evaluate_batch, x, rng=rng)
         gbest_x, gbest_f = best_of(x, fit)
 

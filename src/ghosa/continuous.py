@@ -4,7 +4,8 @@ Agents are real vectors in a box.  Each iteration a candidate is built per
 agent by the discrete engine's operator kernels run on value strings (a
 fresh value baited into the best slot by ``apply_cases``, occasional
 ``rotate_segments``), then shifted by the neighbor-influenced variation,
-clamped, evaluated, and accepted only on improvement.  All per-agent state
+clamped, evaluated, and passed to ``GhosaBase._survive`` as in the discrete
+engine; redrawn agents restart their d and eps.  All per-agent state
 (direction d, step scale eps) is kept as stacked arrays so one iteration is
 a handful of numpy passes.
 """
@@ -18,12 +19,12 @@ import numpy as np
 from .base import (
     GhosaBase,
     best_of,
+    categorical_cdf,
     check_number,
     check_positive,
     check_probability,
     check_window_fraction,
     window_length,
-    worst_rows,
 )
 from .errors import ConfigError
 from .lbniv import lbniv_move_batch, update_d_batch, update_epsilon_batch
@@ -58,20 +59,23 @@ class ContinuousGhosaOptimizer(GhosaBase):
         check_positive(self.eps0, "eps0")
         check_window_fraction(self.window_fraction)
 
+    def _fresh(self, problem, rng, count):
+        rows = problem.initial_population(rng, count)
+        return rows, self._score(problem.evaluate_batch, rows, rng=rng)
+
     def _run(self, problem, rng):
-        case_cdf, replace_count = self._shared()
+        case_cdf = categorical_cdf([self.p_miss, self.p_catch, self.p_false])
         dim = problem.dim
         n_agents = self.population_size
         bounds = problem.bounds
         lo, hi = bounds[:, 0], bounds[:, 1]
         span = hi - lo
 
-        x = rng.uniform(lo, hi, size=(n_agents, dim))
-        fitness = self._score(problem.evaluate_batch, x, rng=rng)
+        x, fitness = self._fresh(problem, rng, n_agents)
         d = np.zeros((n_agents, dim, 2))
         # one step scale per variable, shared by both neighbor terms
         eps = np.full((n_agents, dim), self.eps0)
-        best_x, best_f = best_of(x, fitness)
+        best = best_of(x, fitness)
 
         window_len = window_length(dim, self.window_fraction)
 
@@ -102,7 +106,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
 
             rear = np.roll(x, 1, axis=0)
             front = np.roll(x, -1, axis=0)
-            moved = lbniv_move_batch(cand, best_x, d, eps, rear, front, self.bias)
+            moved = lbniv_move_batch(cand, best[0], d, eps, rear, front, self.bias)
 
             # bound violations are judged on the pre-clamp move
             eps = update_epsilon_batch(eps, moved, bounds, self.k)
@@ -116,19 +120,10 @@ class ContinuousGhosaOptimizer(GhosaBase):
             d = np.stack([update_d_batch(cand_fitness, fitness, moved, nb)
                           for nb in (rear, front)], axis=2)
 
-            improved = cand_fitness < fitness
-            x[improved] = moved[improved]
-            fitness[improved] = cand_fitness[improved]
+            best, worst = self._survive(problem, rng, x, fitness, moved, cand_fitness, best)
+            d[worst] = 0.0
+            eps[worst] = self.eps0
 
-            best_x, best_f = best_of(x, fitness, (best_x, best_f))
-            if replace_count:
-                worst = worst_rows(fitness, replace_count)
-                x[worst] = rng.uniform(lo, hi, size=(replace_count, dim))
-                fitness[worst] = self._score(problem.evaluate_batch, x[worst], rng=rng)
-                d[worst] = 0.0
-                eps[worst] = self.eps0
-                best_x, best_f = best_of(x, fitness, (best_x, best_f))
-
-            self.best_x_ = best_x
+            self.best_x_, best_fitness = best
             self.population_x_, self.population_fitness_ = x, fitness
-            yield best_f
+            yield best_fitness

@@ -2,10 +2,10 @@
 
 Each iteration runs the operator pipeline on the whole ``(agents, n)``
 population at once: one batched ``placement_cost`` call and a row-wise argmin
-pick each agent's slot (change-of-position), ``rotate_segments`` and
-``apply_cases`` build the candidates, and each candidate replaces its agent
-only if it improves.  Then the worst slice of the population is
-re-randomized.  The recorded global best never worsens.
+pick each agent's slot (change-of-position; a random slot where the cost is
+None), ``rotate_segments`` and ``apply_cases`` build the candidates, and
+``GhosaBase._survive`` accepts each only if it improves and redraws the worst
+agents.  The recorded global best never worsens.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ from .base import (
     check_probability,
     check_window_fraction,
     window_length,
-    worst_rows,
 )
 from .operators import apply_cases, rotate_segments
-from .problems.core import SequenceProblem
-
-_BASE_COMPONENT_VALUES = SequenceProblem.component_values
-_BASE_PLACEMENT_COST = SequenceProblem.placement_cost
 
 
 @dataclass(eq=False, repr=False)
@@ -44,8 +39,10 @@ class GhosaOptimizer(GhosaBase):
 
     After ``fit(problem)`` the result lives in ``best_sequence_``,
     ``best_fitness_`` and the per-iteration ``trace_``, the final population
-    in ``population_`` and ``population_fitness_``.  ``evaluations_`` counts
-    every row scored, including the re-scores of dynamic problems.
+    in ``population_`` and ``population_fitness_``.  ``trace_components_``
+    holds, per iteration, the problem's ``component_values`` of the latest
+    global best that has them, or None.  ``evaluations_`` counts every row
+    scored, including the re-scores of dynamic problems.
     """
 
     window_fraction: float = 0.25
@@ -59,30 +56,29 @@ class GhosaOptimizer(GhosaBase):
         if self.max_shift is not None:
             check_int_at_least(self.max_shift, 1, "max_shift")
 
+    def _fresh(self, problem, rng, count):
+        rows = problem.initial_population(rng, count)
+        return rows, self._score(problem.batch_fitness, rows)
+
     def _run(self, problem, rng):
-        case_cdf, replace_count = self._shared()
+        case_cdf = categorical_cdf([self.p_miss, self.p_catch, self.p_false])
         n = problem.dimension
         n_agents = self.population_size
         sign = -1.0 if problem.sense == "max" else 1.0
-        dynamic = getattr(problem, "dynamic", False)
 
         problem.prepare_iteration(rng)
-        sequences = problem.initial_population(rng, n_agents)
-        fitness = self._score(problem.batch_fitness, sequences)
+        sequences, fitness = self._fresh(problem, rng, n_agents)
         best = best_of(sequences, fitness, sign=sign)
-
-        track_components = type(problem).component_values is not _BASE_COMPONENT_VALUES
-        self.trace_components_ = [] if track_components else None
-        last_components = problem.component_values(best[0]) if track_components else None
+        self.trace_components_ = []
+        last_components = problem.component_values(best[0])
 
         bait_counts = np.zeros(n)
         window_len = window_length(n, self.window_fraction)
-        whole_rotation = getattr(problem, "rotation_scope", "whole") == "whole"
-        has_heuristic = type(problem).placement_cost is not _BASE_PLACEMENT_COST
+        whole_rotation = problem.rotation_scope == "whole"
 
         while True:
             problem.prepare_iteration(rng)
-            if dynamic:
+            if problem.dynamic:
                 fitness = self._score(problem.batch_fitness, sequences)
 
             weights = 1.0 / (1.0 + bait_counts)
@@ -94,12 +90,12 @@ class GhosaOptimizer(GhosaBase):
             # draws nothing from ``rng`` when the window is the whole string
             starts = rng.integers(0, n - window_len + 1, size=n_agents)
 
-            if has_heuristic:
-                windows = starts[:, None] + np.arange(window_len)
-                costs = problem.placement_cost(sequences, baits, windows)
-                positions = starts + np.argmin(costs, axis=1)
-            else:
+            windows = starts[:, None] + np.arange(window_len)
+            costs = problem.placement_cost(sequences, baits, windows)
+            if costs is None:
                 positions = starts + rng.integers(0, window_len, size=n_agents)
+            else:
+                positions = starts + np.argmin(costs, axis=1)
 
             rotating = np.flatnonzero(rotate & (n >= 2))
             if whole_rotation:
@@ -115,30 +111,19 @@ class GhosaOptimizer(GhosaBase):
             candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)
 
             cand_fitness = self._score(problem.batch_fitness, candidates)
-            improved = sign * cand_fitness < sign * fitness
-            sequences[improved] = candidates[improved]
-            fitness[improved] = cand_fitness[improved]
-
-            # the global best is taken before and after the worst agents are
-            # re-randomized, so it never worsens; ties keep the older best
             previous_best = best
-            best = best_of(sequences, fitness, best, sign)
-            if replace_count:
-                worst = worst_rows(fitness, replace_count, sign)
-                fresh = problem.initial_population(rng, replace_count)
-                sequences[worst] = fresh
-                fitness[worst] = self._score(problem.batch_fitness, fresh)
-                best = best_of(sequences, fitness, best, sign)
+            best, _ = self._survive(
+                problem, rng, sequences, fitness, candidates, cand_fitness, best, sign
+            )
 
-            if track_components:
-                if best is not previous_best:
-                    got = problem.component_values(best[0])
-                    if got is not None:
-                        last_components = got
-                # None until the first decodable global best appears
-                self.trace_components_.append(
-                    dict(last_components) if last_components is not None else None
-                )
+            if best is not previous_best:
+                got = problem.component_values(best[0])
+                if got is not None:
+                    last_components = got
+            # None until a global best with components appears
+            self.trace_components_.append(
+                dict(last_components) if last_components is not None else None
+            )
             self.best_sequence_, best_fitness = best
             self.population_, self.population_fitness_ = sequences, fitness
             yield best_fitness

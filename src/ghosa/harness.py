@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import PopulationOptimizer
+from .base import PopulationOptimizer, check_int_at_least
 from .baselines import GeneticAlgorithmOptimizer, ParticleSwarmOptimizer
 from .continuous import ContinuousGhosaOptimizer
 from .engine import GhosaOptimizer
@@ -136,10 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"problem must be one of {PROBLEM_KINDS}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        check_int_at_least(self.runs, 1, "runs")
+        check_int_at_least(self.workers, 1, "workers")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if self.algorithm in ("GA", "PSO") and self.problem != "benchmark":

@@ -292,6 +292,10 @@ class BenchmarkFunction:
         self.optimizer = np.array(np.broadcast_to(optimizer, dim), dtype=float)
         self.uses_rng = fid == "f12"
 
+    def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` points drawn uniformly from the box, one per row."""
+        return rng.uniform(self.bounds[:, 0], self.bounds[:, 1], size=(count, self.dim))
+
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dim:

@@ -63,6 +63,18 @@ def test_random_points_never_below_optimum(rng):
         assert np.all(f.evaluate_batch(x) >= f.optimum - 1e-9)
 
 
+@pytest.mark.parametrize("fid, dim", [("f6", None), ("f5", 30), ("f7", None)])
+def test_initial_population_is_uniform_in_the_box(fid, dim):
+    f = benchmark_function(fid, dim)
+    x = f.initial_population(np.random.default_rng(8), 40)
+    assert x.shape == (40, f.dim)
+    assert np.all((x >= f.bounds[:, 0]) & (x <= f.bounds[:, 1]))
+    expected = np.random.default_rng(8).uniform(
+        f.bounds[:, 0], f.bounds[:, 1], size=(40, f.dim)
+    )
+    assert np.array_equal(x, expected)
+
+
 def test_noisy_quartic_uses_seeded_generator():
     f = benchmark_function("f12")
     x = np.zeros((1, 10))

@@ -5,7 +5,7 @@ import pytest
 
 import ghosa.engine
 
-from conftest import random_knapsack, random_qap, random_roadnet, random_tsp
+from conftest import FIXTURES, random_knapsack, random_qap, random_roadnet, random_tsp
 from ghosa import (
     ContinuousGhosaOptimizer,
     GeneticAlgorithmOptimizer,
@@ -25,6 +25,7 @@ from ghosa.base import (
     check_window_fraction,
 )
 from ghosa.errors import ConfigError
+from ghosa.ingest import load_instance
 from ghosa.operators import rotate_segments
 from ghosa.problems import SequenceProblem
 
@@ -57,16 +58,23 @@ class FlatCostProblem(ConstantProblem):
 
 
 def record_calls(problem):
-    """Wrap ``problem`` so every scored batch and its fitness are kept."""
+    """Wrap ``problem`` so every scored batch and its fitness are kept.
+
+    A continuous problem's change-of-position trials, scored with
+    ``rng=None``, are not kept: they never enter the population.
+    """
     scored, values = [], []
-    batch_fitness = problem.batch_fitness
+    name = "evaluate_batch" if hasattr(problem, "evaluate_batch") else "batch_fitness"
+    evaluate = getattr(problem, name)
 
-    def recorded(sequences):
-        scored.append(np.array(sequences))
-        values.append(np.array(batch_fitness(sequences), dtype=float))
-        return values[-1].copy()  # the engine updates its fitness in place
+    def recorded(rows, **kwargs):
+        fitness = np.array(evaluate(rows, **kwargs), dtype=float)
+        if "rng" not in kwargs or kwargs["rng"] is not None:
+            scored.append(np.array(rows))
+            values.append(fitness)
+        return fitness.copy()  # the engine updates its fitness in place
 
-    problem.batch_fitness = recorded
+    setattr(problem, name, recorded)
     return scored, values
 
 
@@ -89,14 +97,17 @@ class TestReplaceWorst:
     def test_exact_replacement_count(self, rng):
         # floor(10% * 48) = 4 rows are redrawn: the last 4 of the stable sort
         # of the accepted population, worst last in the problem's sense
-        for prob in (
-            TspProblem(random_tsp(rng, n=50)),
-            KnapsackProblem(random_knapsack(rng, m=2, n=50)),
-            ConstantProblem(n=50),  # all ties: the last 4 rows go
+        for cls, prob in (
+            (GhosaOptimizer, TspProblem(random_tsp(rng, n=50))),
+            (GhosaOptimizer, KnapsackProblem(random_knapsack(rng, m=2, n=50))),
+            (GhosaOptimizer, ConstantProblem(n=50)),  # all ties: the last 4 rows go
+            (ContinuousGhosaOptimizer, benchmark_function("f5", dim=50)),
         ):
             sign = -1.0 if prob.sense == "max" else 1.0
             scored, values = record_calls(prob)
-            opt = GhosaOptimizer(population_size=48, iterations=1, seed=4).fit(prob)
+            opt = cls(population_size=48, iterations=1, seed=4).fit(prob)
+            continuous = cls is ContinuousGhosaOptimizer
+            population = opt.population_x_ if continuous else opt.population_
             (initial, candidates, fresh), (f0, f1, f2) = scored, values
             improved = sign * f1 < sign * f0
             expected = np.where(improved[:, None], candidates, initial)
@@ -105,10 +116,13 @@ class TestReplaceWorst:
             expected[worst] = fresh
             expected_fitness[worst] = f2
             assert len(fresh) == 4
-            assert np.array_equal(opt.population_, expected)
+            assert np.array_equal(population, expected)
             assert np.array_equal(opt.population_fitness_, expected_fitness)
-            for row in fresh:
-                assert sorted(row.tolist()) == list(range(1, 51))
+            if continuous:
+                assert np.all((fresh >= prob.bounds[:, 0]) & (fresh <= prob.bounds[:, 1]))
+            else:
+                for row in fresh:
+                    assert sorted(row.tolist()) == list(range(1, 51))
 
     def test_global_best_untouched(self, rng):
         # half the population is redrawn every iteration, yet the global
@@ -175,6 +189,20 @@ class TestOptimize:
         assert np.array_equal(a.best_sequence_, b.best_sequence_)
         c = GhosaOptimizer(population_size=15, iterations=120, seed=43).fit(prob)
         assert not np.array_equal(a.trace_, c.trace_)
+
+    def test_trace_components_follow_the_global_best(self, rng):
+        # one entry per iteration: the components of the latest global best
+        # on a road network, None on a problem without components
+        net = load_instance(f"{FIXTURES}/grid4.road", "ROADNET").payload
+        road = RoadNetworkProblem(net)
+        opt = GhosaOptimizer(population_size=10, iterations=40, seed=3).fit(road)
+        assert len(opt.trace_components_) == 40
+        last = road.component_values(opt.best_sequence_)
+        assert opt.trace_components_[-1] == last
+        assert last["total"] == pytest.approx(opt.best_fitness_)
+        tsp = TspProblem(random_tsp(rng, n=8))
+        opt = GhosaOptimizer(population_size=10, iterations=20, seed=3).fit(tsp)
+        assert opt.trace_components_ == [None] * 20
 
     def test_trace_monotone_non_increasing(self, rng):
         prob = TspProblem(random_tsp(rng, n=9))

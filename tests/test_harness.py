@@ -78,6 +78,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="tsp", algorithm="PSO")
 
+    @pytest.mark.parametrize("field,value", [
+        ("runs", 2.5), ("runs", "3"), ("workers", 1.5),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # a replayed JSON config can carry any type; it is a ConfigError
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(problem="benchmark", instance="f6", **{field: value})
+
     @pytest.mark.parametrize("problem,option,value", [
         ("qap", "metric_override", "euclid"),
         ("tsp", "threshold_policy", "random"),
