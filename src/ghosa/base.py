@@ -75,9 +75,9 @@ class PopulationOptimizer:
         return f"{type(self).__name__}({args})"
 
     def _score(self, evaluate, rows, **kwargs) -> np.ndarray:
-        """``evaluate(rows, **kwargs)`` as a float array, counted in ``evaluations_``."""
+        """``evaluate(rows, **kwargs)`` as a float array; ``evaluations_`` counts its values."""
         fitness = np.asarray(evaluate(rows, **kwargs), dtype=float)
-        self.evaluations_ += len(rows)
+        self.evaluations_ += fitness.size
         return fitness
 
     def check_params(self) -> None:
@@ -163,8 +163,9 @@ def best_of(rows, fitness, best=None, sign: float = 1.0):
 
 
 def check_number(value, name: str) -> float:
-    """``value`` as a float; anything but a finite real number is a ConfigError."""
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """``value`` as a float; anything but a finite real number, or a bool, is a ConfigError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -2,10 +2,11 @@
 
 Agents are real vectors in a box.  Each iteration a candidate is built per
 agent by the discrete engine's operator kernels run on value strings (a
-fresh value baited into the best slot by ``apply_cases``, occasional
-``rotate_segments``), then shifted by the neighbor-influenced variation,
-clamped, evaluated, and passed to ``GhosaBase._survive`` as in the discrete
-engine; redrawn agents restart their d and eps.  All per-agent state
+fresh value baited by ``apply_cases`` into the window slot of lowest
+``problem.placement_cost``, whose nominal values count as evaluations;
+occasional ``rotate_segments``), then shifted by the neighbor-influenced
+variation, clamped, evaluated, and passed to ``GhosaBase._survive`` as in the
+discrete engine; redrawn agents restart their d and eps.  All per-agent state
 (direction d, step scale eps) is kept as stacked arrays so one iteration is
 a handful of numpy passes.
 """
@@ -84,18 +85,11 @@ class ContinuousGhosaOptimizer(GhosaBase):
             rotate = rng.random(n_agents) < self.swarm_rate
             bait_u = rng.random(n_agents)
             offset = int(rng.integers(0, dim - window_len + 1))
-            slots = np.arange(offset, offset + window_len)
-
-            # change-of-position: trial the bait in every window slot
-            trial_best = np.full(n_agents, np.inf)
-            positions = np.full(n_agents, slots[0])
-            for pos in slots:
-                trial = x.copy()
-                trial[:, pos] = lo[pos] + bait_u * span[pos]
-                val = self._score(problem.evaluate_batch, trial, rng=None)
-                better = val < trial_best
-                trial_best[better] = val[better]
-                positions[better] = pos
+            # change-of-position: each row takes its cheapest slot in the window
+            windows = np.broadcast_to(np.arange(offset, offset + window_len),
+                                      (n_agents, window_len))
+            costs = self._score(problem.placement_cost, x, baits=bait_u, positions=windows)
+            positions = offset + np.argmin(costs, axis=1)
             baits = lo[positions] + bait_u * span[positions]
 
             cand = apply_cases(x, cases, positions, baits, permutation=False)

@@ -189,14 +189,14 @@ def parse_tsplib(text: str) -> TspInstance:
 
 
 def _parse_explicit_matrix(tokens: list[str], n: int, fmt: str) -> np.ndarray:
-    counts = {
-        "FULL_MATRIX": n * n,
-        "UPPER_ROW": n * (n - 1) // 2,
-        "LOWER_ROW": n * (n - 1) // 2,
-        "UPPER_DIAG_ROW": n * (n + 1) // 2,
-        "LOWER_DIAG_ROW": n * (n + 1) // 2,
-    }
-    needed = counts[fmt]
+    # the cells each format lists, row by row as the section does
+    if fmt == "FULL_MATRIX":
+        cells = np.unravel_index(np.arange(n * n), (n, n))
+    elif fmt.startswith("UPPER"):
+        cells = np.triu_indices(n, 0 if fmt == "UPPER_DIAG_ROW" else 1)
+    else:
+        cells = np.tril_indices(n, 0 if fmt == "LOWER_DIAG_ROW" else -1)
+    needed = len(cells[0])
     if len(tokens) < needed:
         raise TruncatedMatrix(
             f"{fmt} needs {needed} entries for n={n}, found {len(tokens)}"
@@ -207,21 +207,9 @@ def _parse_explicit_matrix(tokens: list[str], n: int, fmt: str) -> np.ndarray:
         raise NonNumericToken("non-numeric entry in EDGE_WEIGHT_SECTION") from exc
 
     m = np.zeros((n, n))
-    it = iter(values)
-    if fmt == "FULL_MATRIX":
-        m = np.array(values).reshape(n, n)
-    elif fmt in ("UPPER_ROW", "UPPER_DIAG_ROW"):
-        start_off = 0 if fmt == "UPPER_DIAG_ROW" else 1
-        for i in range(n):
-            for j in range(i + start_off, n):
-                m[i, j] = next(it)
-        m = m + m.T - np.diag(np.diag(m))
-    else:
-        end_off = 1 if fmt == "LOWER_DIAG_ROW" else 0
-        for i in range(n):
-            for j in range(0, i + end_off):
-                m[i, j] = next(it)
-        m = m + m.T - np.diag(np.diag(m))
+    # mirror image first: a triangle fills both halves, a full matrix overwrites it
+    m[cells[::-1]] = values
+    m[cells] = values
     return m
 
 

@@ -306,6 +306,22 @@ class BenchmarkFunction:
             return self.fn(x, rng=rng)
         return self.fn(x)
 
+    def placement_cost(self, x, baits, positions) -> np.ndarray:
+        """Nominal value of each row of ``x`` with its bait at each slot of ``positions``.
+
+        Entry ``[i, j]`` scores row i with ``lo[p] + baits[i] * span[p]`` at slot
+        ``p = positions[i, j]``.  One call per window column: one call over the
+        whole trial block would run Rastrigin's ``cos`` out of cache.
+        """
+        lo, span = self.bounds[:, 0], self.bounds[:, 1] - self.bounds[:, 0]
+        rows = np.arange(len(x))
+        costs = np.empty(positions.shape)
+        for j, slot in enumerate(positions.T):
+            trial = x.copy()
+            trial[rows, slot] = lo[slot] + baits * span[slot]
+            costs[:, j] = self.evaluate_batch(trial, rng=None)
+        return costs
+
     def evaluate(self, x, rng=None) -> float:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :], rng)[0])
 

@@ -75,6 +75,30 @@ def test_initial_population_is_uniform_in_the_box(fid, dim):
     assert np.array_equal(x, expected)
 
 
+@pytest.mark.parametrize(
+    "fid, dim", [(fid, None) for fid in benchmark_ids()] + [
+        ("f1", 30), ("f3", 30), ("f5", 30), ("f12", 30)]
+)
+def test_placement_cost_scores_each_slot_without_noise(fid, dim):
+    # oracle: the nominal value of the row with that one slot overwritten;
+    # every row scans its own window, in its own order
+    f = benchmark_function(fid, dim)
+    rng = np.random.default_rng(21)
+    x = f.initial_population(rng, 6)
+    baits = rng.random(6)
+    positions = np.array([rng.permutation(f.dim)[:4] for _ in range(6)])
+    state = rng.bit_generator.state
+    costs = f.placement_cost(x, baits, positions)
+    assert rng.bit_generator.state == state
+    assert costs.shape == positions.shape
+    lo, hi = f.bounds[:, 0], f.bounds[:, 1]
+    for i, row in enumerate(x):
+        for j, p in enumerate(positions[i]):
+            trial = row.copy()
+            trial[p] = lo[p] + baits[i] * (hi[p] - lo[p])
+            assert costs[i, j] == f.evaluate_batch(trial, rng=None)[0]
+
+
 def test_noisy_quartic_uses_seeded_generator():
     f = benchmark_function("f12")
     x = np.zeros((1, 10))

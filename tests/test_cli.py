@@ -229,6 +229,8 @@ NON_NUMERIC = [
     ("GHOSA", "p_miss=NaN", F6),
     ("PSO", "inertia=NaN", F6),
     ("GHOSA", "max_shift=Infinity", TSP),
+    ("GHOSA", "swarm_rate=true", F6),
+    ("GHOSA", "max_shift=true", TSP),
 ]
 
 
@@ -236,7 +238,8 @@ NON_NUMERIC = [
     "algo, param, problem", NON_NUMERIC, ids=[f"{a}-{p}" for a, p, _ in NON_NUMERIC]
 )
 def test_non_numeric_param_exits_one(capsys, algo, param, problem):
-    # NaN and infinity are read from the JSON literal but are no usable setting
+    # NaN, infinity and booleans are read from the JSON literal but are no
+    # usable setting
     code, _, err = run_cli(
         capsys, "run", *problem, "--algo", algo,
         "--runs", "1", "--iters", "2", "--param", param,

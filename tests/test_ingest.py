@@ -74,12 +74,28 @@ class TestTsplib:
         assert again.metric == inst.metric
         assert np.array_equal(again.coords, inst.coords)
 
-    def test_explicit_matrix_round_trip(self):
-        m = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]])
+    # format -> the (row, column) pairs its section lists, in order
+    SECTIONS = {
+        "FULL_MATRIX": lambda n: [(i, j) for i in range(n) for j in range(n)],
+        "UPPER_ROW": lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+        "UPPER_DIAG_ROW": lambda n: [(i, j) for i in range(n) for j in range(i, n)],
+        "LOWER_ROW": lambda n: [(i, j) for i in range(n) for j in range(i)],
+        "LOWER_DIAG_ROW": lambda n: [(i, j) for i in range(n) for j in range(i + 1)],
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(SECTIONS))
+    def test_explicit_matrix_round_trip(self, fmt):
+        # distinct entries and a nonzero diagonal, so a misplaced value shows
+        upper = np.triu(np.arange(1.0, 26.0).reshape(5, 5))
+        full = upper + np.triu(upper, 1).T
+        section = " ".join(str(full[i, j]) for i, j in self.SECTIONS[fmt](5))
         text = (
-            "NAME : m3\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
-            "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n2 3\n4\nEOF\n"
+            "NAME : m5\nTYPE : TSP\nDIMENSION : 5\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            f"EDGE_WEIGHT_FORMAT : {fmt}\nEDGE_WEIGHT_SECTION\n{section}\nEOF\n"
         )
+        m = full.copy()
+        if fmt in ("UPPER_ROW", "LOWER_ROW"):  # these sections carry no diagonal
+            np.fill_diagonal(m, 0.0)
         inst = parse_tsplib(text)
         assert np.array_equal(inst.matrix, m)
         again = parse_tsplib(serialize_tsplib(inst))

@@ -3,8 +3,9 @@
 Replay tests compare two runs of the same code, so they cannot see a kernel
 rewrite that changes results.  These fits pin the best fitness (as
 ``float.hex``) and the sha256 of the trace and of the best row, as recorded
-at commit 8133004 with numpy 2.4 on x86-64.  A change that alters any scored
-value, draw or tie-break changes them.
+at commit 8133004 (the windowed sphere at f2e3782) with numpy 2.4 on
+x86-64.  A change that alters any scored value, draw or tie-break changes
+them.
 
 One ulp of difference flips accept decisions, so every pinned fit scores
 with integer values or correctly rounded operations (+, -, *, /, sqrt),
@@ -50,7 +51,8 @@ def _grid4_noise():
 
 
 # name -> (problem factory, optimizer); TSP n=16 scans its whole string,
-# TSP n=60 scans a 15-slot window and rotates segments
+# TSP n=60 scans a 15-slot window and rotates segments; the sphere at d=10
+# scans its whole string, at d=30 an 8-slot window
 CASES = {
     "tsp-ulysses16-geo": (
         _ulysses16, lambda: GhosaOptimizer(population_size=20, iterations=150, seed=5)),
@@ -67,6 +69,10 @@ CASES = {
     "continuous-sphere-d10": (
         lambda: benchmark_function("f1", dim=10),
         lambda: ContinuousGhosaOptimizer(population_size=20, iterations=100, seed=10)),
+    "continuous-sphere-d30-window": (
+        lambda: benchmark_function("f1", dim=30),
+        lambda: ContinuousGhosaOptimizer(
+            population_size=20, iterations=100, window_fraction=0.25, seed=11)),
 }
 
 # name -> (best_fitness_.hex(), sha256 of trace_, sha256 of the best row)
@@ -75,6 +81,11 @@ PINNED = {
         "0x1.b861d2815e4d2p+3",
         "570060f2047f37603c67b727e8422926ec58dd798282e146818da0459db0cd78",
         "7a1793d65390978af306d89293aa3feb744dc739ae750b19dca75712291dcbff",
+    ),
+    "continuous-sphere-d30-window": (
+        "0x1.353adef46d3adp+7",
+        "f38d290c36299070e1f56eda91e97b19549da4cd218e218651ac006d93b9f1a7",
+        "402213d5d7ded1349ae50a7969f0efedc3a0f21adb42a076deb2a1a611421abb",
     ),
     "knapsack3x30": (
         "0x1.fe80000000000p+9",
