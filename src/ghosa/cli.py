@@ -13,7 +13,7 @@ import sys
 import click
 import numpy as np
 
-from .errors import ConfigError, GhosaError, InstanceError, TooLarge
+from .errors import ConfigError, InstanceError, TooLarge
 from .harness import (
     ALGORITHMS,
     ORACLES,
@@ -161,9 +161,6 @@ def entrypoint(argv=None) -> int:
     except (InstanceError, FileNotFoundError, TooLarge) as exc:
         click.echo(f"instance error: {exc}", err=True)
         return 2
-    except GhosaError as exc:
-        click.echo(f"runtime failure: {exc}", err=True)
-        return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         click.echo(f"runtime failure: {exc}", err=True)
         return 3

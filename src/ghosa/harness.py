@@ -10,6 +10,7 @@ variants).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -108,8 +109,9 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
     ``population``, ``iterations`` and ``target`` are the budget every
-    optimizer takes.  ``params`` holds the chosen optimizer's remaining
-    constructor arguments; the optimizer's own defaults fill in the rest.
+    optimizer takes, with ``PopulationOptimizer``'s defaults.  ``params``
+    holds the chosen optimizer's remaining constructor arguments; the
+    optimizer's own defaults fill in the rest.
     """
 
     problem: str
@@ -117,8 +119,8 @@ class ExperimentConfig:
     dim: int | None = None
     algorithm: str = "GHOSA"
     runs: int = 10
-    iterations: int = 25000
-    population: int = 50
+    iterations: int = PopulationOptimizer.iterations
+    population: int = PopulationOptimizer.population_size
     seed_base: int = 0
     target: float | None = None
     workers: int = 1
@@ -370,11 +372,10 @@ def export_report(stats: RunStats, results: dict, fmt: str, out) -> list[Path]:
         out.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             csv_path = out.with_suffix(".csv")
-            lines = [",".join(CSV_COLUMNS)]
-            lines.append(
-                ",".join("" if row[c] is None else str(row[c]) for c in CSV_COLUMNS)
-            )
-            csv_path.write_text("\n".join(lines) + "\n")
+            with csv_path.open("w", newline="") as fh:
+                # quotes a knapsack's "m,n" dim cell; None is written empty
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerows([CSV_COLUMNS, [row[c] for c in CSV_COLUMNS]])
             written.append(csv_path)
         json_path = out.with_suffix(".json")
         json_path.write_text(json.dumps(report, indent=2, default=_jsonify))

@@ -5,6 +5,9 @@ files, OR-Library multi-constraint knapsack bundles, and a line-oriented
 road-network format (node list, ``u v distance waiting`` edge lines, then a
 ``velocity source destination`` trailer).  Tokenization is whitespace
 tolerant everywhere; unknown TSPLIB header keys warn instead of failing.
+Numbers come in counted blocks: a block that runs short is a truncation
+error, surplus numbers in a TSPLIB weight section are a ``CountMismatch``,
+and tokens after a QAPLIB or OR-Library file's last block warn.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def checksum_text(text: str) -> str:
 
 
 class _Tokens:
-    """Whitespace-tolerant numeric token stream."""
+    """Whitespace-separated numbers, read in counted blocks."""
 
     def __init__(self, text: str, error=TruncatedSection):
         self.tokens = text.split()
@@ -54,36 +57,24 @@ class _Tokens:
     def remaining(self) -> int:
         return len(self.tokens) - self.pos
 
-    def next_str(self, what: str) -> str:
-        if self.pos >= len(self.tokens):
-            raise self.error(f"input ended while reading {what}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def next_int(self, what: str) -> int:
-        tok = self.next_str(what)
+    def take(self, count: int, what: str, error=None, dtype=float) -> np.ndarray:
+        """The next ``count`` numbers as one array; ``error`` (else the
+        stream's truncation error) when fewer are left."""
+        block = self.tokens[self.pos : self.pos + count]
+        if len(block) < count:
+            raise (error or self.error)(f"{what}: needed {count} values, found {len(block)}")
+        self.pos += count
         try:
-            return int(tok)
-        except ValueError as exc:
-            raise NonNumericToken(f"expected integer for {what}, got {tok!r}") from exc
+            return np.array(block, dtype=dtype)
+        except (ValueError, OverflowError) as exc:  # overflow: an int beyond int64
+            raise NonNumericToken(f"bad number in {what}: {exc}") from exc
 
-    def next_float(self, what: str) -> float:
-        tok = self.next_str(what)
-        try:
-            return float(tok)
-        except ValueError as exc:
-            raise NonNumericToken(f"expected number for {what}, got {tok!r}") from exc
+    def take_int(self, what: str) -> int:
+        return int(self.take(1, what, dtype=np.int64)[0])
 
-    def take_floats(self, count: int, what: str, error=None) -> np.ndarray:
-        if self.remaining() < count:
-            raise (error or self.error)(
-                f"{what}: needed {count} values, found {self.remaining()}"
-            )
-        out = np.empty(count)
-        for i in range(count):
-            out[i] = self.next_float(what)
-        return out
+    def warn_trailing(self, what: str) -> None:
+        if self.remaining():
+            warnings.warn(f"ignoring {self.remaining()} trailing tokens in {what}")
 
 
 # --- TSPLIB -------------------------------------------------------------------
@@ -107,38 +98,27 @@ _MATRIX_FORMATS = (
     "LOWER_DIAG_ROW",
 )
 
+#: the data sections; a line that starts with one opens it
+_TSPLIB_SECTIONS = ("NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION", "DISPLAY_DATA_SECTION")
+
 
 def parse_tsplib(text: str) -> TspInstance:
     """TSPLIB-style keyed header plus coordinate or matrix section."""
     header: dict[str, str] = {}
-    lines = text.splitlines()
+    sections: dict[str, list[str]] = {}
     section = None
-    coord_lines: list[str] = []
-    weight_tokens: list[str] = []
 
-    for raw in lines:
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line == "EOF":
             continue
         upper = line.upper()
-        if upper.startswith("NODE_COORD_SECTION"):
-            section = "coords"
-            continue
-        if upper.startswith("EDGE_WEIGHT_SECTION"):
-            section = "weights"
-            continue
-        if upper.startswith("DISPLAY_DATA_SECTION"):
-            section = "display"
-            continue
-        if section == "coords":
-            coord_lines.append(line)
-            continue
-        if section == "weights":
-            weight_tokens.extend(line.split())
-            continue
-        if section == "display":
-            continue
-        if ":" in line:
+        opened = next((s for s in _TSPLIB_SECTIONS if upper.startswith(s)), None)
+        if opened:
+            section = sections.setdefault(opened, [])
+        elif section is not None:
+            section.append(line)
+        elif ":" in line:
             key, _, value = line.partition(":")
             key = key.strip().upper()
             if key not in _TSPLIB_KNOWN_KEYS:
@@ -165,9 +145,11 @@ def parse_tsplib(text: str) -> TspInstance:
         fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
         if fmt not in _MATRIX_FORMATS:
             raise UnsupportedEdgeWeightType(f"EDGE_WEIGHT_FORMAT {fmt!r} not supported")
-        matrix = _parse_explicit_matrix(weight_tokens, n, fmt)
+        weights = _Tokens("\n".join(sections.get("EDGE_WEIGHT_SECTION", ())), TruncatedMatrix)
+        matrix = _parse_explicit_matrix(weights, n, fmt)
         return TspInstance(n=n, metric="EXPLICIT", matrix=matrix, name=name)
 
+    coord_lines = sections.get("NODE_COORD_SECTION", [])
     if len(coord_lines) != n:
         raise DimensionMismatch(
             f"DIMENSION is {n} but {len(coord_lines)} coordinate lines found"
@@ -188,7 +170,7 @@ def parse_tsplib(text: str) -> TspInstance:
     return TspInstance(n=n, coords=coords, metric=metric, name=name)
 
 
-def _parse_explicit_matrix(tokens: list[str], n: int, fmt: str) -> np.ndarray:
+def _parse_explicit_matrix(weights: _Tokens, n: int, fmt: str) -> np.ndarray:
     # the cells each format lists, row by row as the section does
     if fmt == "FULL_MATRIX":
         cells = np.unravel_index(np.arange(n * n), (n, n))
@@ -196,21 +178,21 @@ def _parse_explicit_matrix(tokens: list[str], n: int, fmt: str) -> np.ndarray:
         cells = np.triu_indices(n, 0 if fmt == "UPPER_DIAG_ROW" else 1)
     else:
         cells = np.tril_indices(n, 0 if fmt == "LOWER_DIAG_ROW" else -1)
-    needed = len(cells[0])
-    if len(tokens) < needed:
-        raise TruncatedMatrix(
-            f"{fmt} needs {needed} entries for n={n}, found {len(tokens)}"
-        )
-    try:
-        values = [float(t) for t in tokens[:needed]]
-    except ValueError as exc:
-        raise NonNumericToken("non-numeric entry in EDGE_WEIGHT_SECTION") from exc
+    what = f"{fmt} EDGE_WEIGHT_SECTION for n={n}"
+    values = weights.take(len(cells[0]), what)
+    if weights.remaining():
+        raise CountMismatch(f"{what}: {weights.remaining()} values left over")
 
     m = np.zeros((n, n))
     # mirror image first: a triangle fills both halves, a full matrix overwrites it
     m[cells[::-1]] = values
     m[cells] = values
     return m
+
+
+def _numbers(values) -> str:
+    """Space-separated reprs, which read back to the same floats."""
+    return " ".join(repr(float(v)) for v in values)
 
 
 def serialize_tsplib(inst: TspInstance) -> str:
@@ -224,13 +206,13 @@ def serialize_tsplib(inst: TspInstance) -> str:
         lines.append("EDGE_WEIGHT_FORMAT : FULL_MATRIX")
         lines.append("EDGE_WEIGHT_SECTION")
         for row in inst.matrix:
-            lines.append(" ".join(repr(float(v)) for v in row))
+            lines.append(_numbers(row))
     else:
         metric = "EUC_2D" if inst.metric == "EUCLID_RAW" else inst.metric
         lines.append(f"EDGE_WEIGHT_TYPE : {metric}")
         lines.append("NODE_COORD_SECTION")
-        for i, (x, y) in enumerate(inst.coords, start=1):
-            lines.append(f"{i} {float(x)!r} {float(y)!r}")
+        for i, xy in enumerate(inst.coords, start=1):
+            lines.append(f"{i} {_numbers(xy)}")
     lines.append("EOF")
     return "\n".join(lines) + "\n"
 
@@ -241,25 +223,18 @@ def serialize_tsplib(inst: TspInstance) -> str:
 def parse_qaplib(text: str) -> QapInstance:
     """Leading size n, then two n x n whitespace-separated matrices."""
     toks = _Tokens(text, error=TruncatedMatrix)
-    if toks.remaining() == 0:
-        raise TruncatedMatrix("empty QAPLIB input")
-    n = toks.next_int("matrix size")
+    n = toks.take_int("matrix size")
     if n < 1:
         raise ParseError(f"matrix size must be >= 1, got {n}")
-    flow = toks.take_floats(n * n, "flow matrix", error=TruncatedMatrix).reshape(n, n)
-    dist = toks.take_floats(n * n, "distance matrix", error=TruncatedMatrix).reshape(
-        n, n
-    )
-    if toks.remaining():
-        warnings.warn(f"ignoring {toks.remaining()} trailing tokens in QAPLIB input")
+    flow = toks.take(n * n, "flow matrix").reshape(n, n)
+    dist = toks.take(n * n, "distance matrix").reshape(n, n)
+    toks.warn_trailing("QAPLIB input")
     return QapInstance(n=n, flow=flow, dist=dist)
 
 
 def serialize_qaplib(inst: QapInstance) -> str:
-    def block(m):
-        return "\n".join(" ".join(repr(float(v)) for v in row) for row in m)
-
-    return f"{inst.n}\n\n{block(inst.flow)}\n\n{block(inst.dist)}\n"
+    flow, dist = ("\n".join(map(_numbers, m)) for m in (inst.flow, inst.dist))
+    return f"{inst.n}\n\n{flow}\n\n{dist}\n"
 
 
 # --- OR-Library multi-constraint knapsack --------------------------------------
@@ -268,24 +243,20 @@ def serialize_qaplib(inst: QapInstance) -> str:
 def parse_orlib_mknap(text: str, name_prefix: str = "mknap") -> list[KnapsackInstance]:
     """OR-Library bundle: problem count, then per problem
     ``n m optimum``, n profits, m rows of n weights, m capacities."""
-    toks = _Tokens(text, error=TruncatedSection)
-    if toks.remaining() == 0:
-        raise TruncatedSection("empty knapsack input")
-    k = toks.next_int("problem count")
+    toks = _Tokens(text)
+    k = toks.take_int("problem count")
     if k < 1:
         raise ParseError(f"problem count must be >= 1, got {k}")
     out = []
     for p in range(k):
-        n = toks.next_int("item count")
-        m = toks.next_int("constraint count")
-        optimum = toks.next_float("declared optimum")
+        n = toks.take_int("item count")
+        m = toks.take_int("constraint count")
+        optimum = toks.take(1, "declared optimum")[0]
         if n < 1 or m < 1:
             raise ParseError(f"problem {p + 1}: bad sizes n={n}, m={m}")
-        profit = toks.take_floats(n, f"problem {p + 1} profits")
-        weight = toks.take_floats(m * n, f"problem {p + 1} weights").reshape(m, n)
-        capacity = toks.take_floats(
-            m, f"problem {p + 1} capacities", error=CountMismatch
-        )
+        profit = toks.take(n, f"problem {p + 1} profits")
+        weight = toks.take(m * n, f"problem {p + 1} weights").reshape(m, n)
+        capacity = toks.take(m, f"problem {p + 1} capacities", error=CountMismatch)
         out.append(
             KnapsackInstance(
                 m=m,
@@ -297,6 +268,7 @@ def parse_orlib_mknap(text: str, name_prefix: str = "mknap") -> list[KnapsackIns
                 name=f"{name_prefix}{p + 1}",
             )
         )
+    toks.warn_trailing("knapsack input")
     return out
 
 
@@ -305,10 +277,7 @@ def serialize_orlib_mknap(instances: list[KnapsackInstance]) -> str:
     for inst in instances:
         opt = inst.best_known if inst.best_known is not None else 0
         parts.append(f"{inst.n} {inst.m} {opt}")
-        parts.append(" ".join(repr(float(v)) for v in inst.profit))
-        for row in inst.weight:
-            parts.append(" ".join(repr(float(v)) for v in row))
-        parts.append(" ".join(repr(float(v)) for v in inst.capacity))
+        parts.extend(map(_numbers, (inst.profit, *inst.weight, inst.capacity)))
     return "\n".join(parts) + "\n"
 
 
@@ -361,8 +330,8 @@ def parse_roadnet(text: str) -> RoadNetwork:
 
 def serialize_roadnet(net: RoadNetwork) -> str:
     lines = [" ".join(str(n) for n in net.nodes)]
-    for (u, v), (d, awt) in sorted(net.edges.items()):
-        lines.append(f"{u} {v} {float(d)!r} {float(awt)!r}")
+    for (u, v), weights in sorted(net.edges.items()):
+        lines.append(f"{u} {v} {_numbers(weights)}")
     lines.append(f"{float(net.velocity)!r} {net.source} {net.destination}")
     return "\n".join(lines) + "\n"
 
@@ -385,9 +354,8 @@ def load_instance(path, fmt: str) -> InstanceFileRecord:
     text = path.read_text()
     payload = _PARSERS[fmt](text)
     if fmt == "ORLIB_MKNAP":
-        for i, inst in enumerate(payload):
-            if inst.name.startswith("mknap"):
-                inst.name = f"{path.stem}-{i + 1}"
+        for i, inst in enumerate(payload, start=1):
+            inst.name = f"{path.stem}-{i}"
     elif not payload.name:
         payload.name = path.stem
     return InstanceFileRecord(

@@ -59,7 +59,6 @@ class QapProblem(SequenceProblem):
             and not np.any(np.diag(self._f))
             and not np.any(np.diag(self._d))
         )
-        self._fdiag = np.diag(self._f)
 
     def batch_fitness(self, sequences: np.ndarray) -> np.ndarray:
         loc = sequences - 1
@@ -84,9 +83,9 @@ class QapProblem(SequenceProblem):
             d_diff = self._d[loc[rows, pos][:, :, None], loc[:, None, :]] - d_b_loc
             s = (f_diff * d_diff).sum(axis=2)
             d_b_lp = self._d[b, loc[rows, pos]]
-            k_p = (self._f[q, pos] - self._fdiag[pos]) * (0.0 - d_b_lp)
-            k_q = (self._fdiag[q] - self._f[pos, q]) * d_b_lp
-            return 2.0 * (s - k_p - k_q)
+            # zero diagonals: the pair's two interaction terms are both k
+            k = self._f[q, pos] * d_b_lp
+            return 2.0 * (s + k + k)
         out_cost = (self._f[pos] * d_b_loc).sum(axis=2)
         in_cost = (self._f.T[pos] * self._d[loc, b][:, None, :]).sum(axis=2)
         return out_cost + in_cost

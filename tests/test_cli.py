@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from ghosa import ExperimentConfig, RunStats
+from ghosa import ExperimentConfig, RunStats, benchmark_function
 from ghosa.cli import entrypoint
 from ghosa.ingest import checksum_text
 
@@ -131,6 +132,41 @@ def test_parse_check(capsys):
     )
     assert code == 0
     assert "n=16" in out
+
+
+def test_parse_check_knapsack_bundle_and_road(capsys, tmp_path):
+    bundle = tmp_path / "bundle.txt"
+    bundle.write_text(BUNDLE)
+    code, out, _ = run_cli(capsys, "parse-check", "--problem", "knapsack",
+                           "--instance", str(bundle))
+    assert code == 0
+    assert "instance bundle-1: m=1 n=4 best_known=None" in out
+    assert "instance bundle-2: m=1 n=3 best_known=None" in out
+    code, out, _ = run_cli(capsys, "parse-check", "--problem", "roadnet",
+                           "--instance", f"{FIXTURES}/grid4.road")
+    assert code == 0
+    assert "route 1->16" in out
+
+
+def test_parse_check_surplus_matrix_exits_two(capsys, tmp_path):
+    # six values under a DIMENSION 3 UPPER_ROW label, which takes three
+    tsp = tmp_path / "surplus.tsp"
+    tsp.write_text("DIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+                   "EDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n2 3 4 5 6 7\n")
+    code, _, err = run_cli(capsys, "parse-check", "--problem", "tsp", "--instance", str(tsp))
+    assert code == 2
+    assert "3 values left over" in err
+
+
+def test_failed_run_exits_three(capsys, monkeypatch):
+    # a problem that raises only when a run scores its first rows
+    broken = benchmark_function("f18")
+    broken.fn = np.linalg.inv
+    monkeypatch.setattr("ghosa.harness.build_problem", lambda cfg: broken)
+    code, _, err = run_cli(capsys, "run", "--problem", "benchmark", "--instance", "f18",
+                           "--runs", "1", "--iters", "5")
+    assert code == 3
+    assert "run 0 (seed 0) failed" in err
 
 
 def test_config_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from ghosa import (
     aggregate_stats,
     benchmark_function,
     harness,
+    qap_cost,
     run_experiment,
 )
 from ghosa.errors import ConfigError, EmptyInput
@@ -25,8 +27,8 @@ from ghosa.harness import (
     replay_report,
     resolve_instance_path,
 )
-from ghosa.ingest import serialize_orlib_mknap, serialize_roadnet
-from conftest import FIXTURES, random_knapsack, random_roadnet  # noqa: E402
+from ghosa.ingest import serialize_orlib_mknap, serialize_qaplib, serialize_roadnet
+from conftest import FIXTURES, random_knapsack, random_qap, random_roadnet  # noqa: E402
 
 
 class TestAggregateStats:
@@ -197,6 +199,21 @@ class TestRunExperiment:
         assert stats.mean == stats.best == stats.worst
         assert stats.sd == 0.0
 
+    def test_qap_experiment_from_file(self, tmp_path, rng):
+        inst = random_qap(rng, n=6)
+        path = tmp_path / "toy6.dat"
+        path.write_text(serialize_qaplib(inst))
+        cfg = ExperimentConfig(problem="qap", instance=str(path), runs=2,
+                               iterations=30, population=8, seed_base=1)
+        stats, results = run_experiment(cfg)
+        assert results["report"]["problem"]["name"] == "toy6"
+        assert results["report"]["problem"]["dimension"] == 6
+        for run in results["runs"]:
+            seq = run["best_solution"]
+            assert sorted(seq) == list(range(1, 7))
+            assert run["best_fitness"] == qap_cost(inst, seq)
+        assert stats.best == min(r["best_fitness"] for r in results["runs"])
+
     def test_replay_from_exported_json(self, tmp_path):
         out = tmp_path / "report"
         cfg = ExperimentConfig(
@@ -261,6 +278,17 @@ class TestExport:
         lines = (out.with_suffix(".csv")).read_text().splitlines()
         assert lines[0] == "name,dim,optimum,mean,sd,best,worst,error"
         assert len(lines[1].split(",")) == 8
+
+    def test_knapsack_csv_dim_is_m_comma_n(self, tmp_path, rng):
+        path = tmp_path / "one.mknap"
+        path.write_text(serialize_orlib_mknap([random_knapsack(rng, m=3, n=9)]))
+        out = tmp_path / "knap"
+        cfg = ExperimentConfig(problem="knapsack", instance=str(path), runs=1,
+                               iterations=10, population=6, out=str(out))
+        run_experiment(cfg)
+        header, row = csv.reader(out.with_suffix(".csv").read_text().splitlines())
+        assert dict(zip(header, row))["dim"] == "3,9"
+        assert len(row) == len(header)
 
     def test_trace_files_one_value_per_line(self, tmp_path):
         out = tmp_path / "exp"

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ghosa.errors import (
     CountMismatch,
     DimensionMismatch,
+    InstanceError,
     MissingHeaderField,
     NonNumericToken,
     NonPositiveVelocity,
@@ -103,6 +106,38 @@ class TestTsplib:
         # symmetric by construction from a triangular section
         assert np.array_equal(inst.matrix, inst.matrix.T)
 
+    @staticmethod
+    def explicit(n, fmt, section):
+        return (
+            f"NAME : m{n}\nTYPE : TSP\nDIMENSION : {n}\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            f"EDGE_WEIGHT_FORMAT : {fmt}\nEDGE_WEIGHT_SECTION\n{section}\n"
+            "DISPLAY_DATA_SECTION\n1 0 0\nEOF\n"
+        )
+
+    @pytest.mark.parametrize("fmt", sorted(SECTIONS))
+    def test_explicit_matrix_surplus_value_is_count_mismatch(self, fmt):
+        section = " ".join("7" for _ in self.SECTIONS[fmt](5))
+        parse_tsplib(self.explicit(5, fmt, section))  # the display section is no surplus
+        with pytest.raises(CountMismatch, match="1 values left over"):
+            parse_tsplib(self.explicit(5, fmt, section + "\n7"))
+
+    def test_full_matrix_labelled_upper_row_is_count_mismatch(self):
+        # three values make an n=3 UPPER_ROW section; a 2x3 block is a wrong label
+        with pytest.raises(CountMismatch, match="3 values left over"):
+            parse_tsplib(self.explicit(3, "UPPER_ROW", "2 3 4\n5 6 7"))
+
+    def test_explicit_matrix_short_or_non_numeric(self):
+        with pytest.raises(TruncatedMatrix, match="needed 3 values, found 2"):
+            parse_tsplib(self.explicit(3, "UPPER_ROW", "2 3"))
+        with pytest.raises(NonNumericToken):
+            parse_tsplib(self.explicit(3, "UPPER_ROW", "2 x 4"))
+
+    def test_header_line_without_key_warns(self):
+        text = TSP_GOLDEN.replace("TYPE : TSP", "TYPE : TSP\n: stray")
+        with pytest.warns(UserWarning, match="unknown TSPLIB header key ''"):
+            inst = parse_tsplib(text)
+        assert inst.n == 4
+
     def test_empty_input_missing_header(self):
         with pytest.raises(MissingHeaderField):
             parse_tsplib("")
@@ -156,6 +191,16 @@ class TestQaplib:
         with pytest.raises(NonNumericToken):
             parse_qaplib("2\n0 1\n1 x\n0 2\n2 0")
 
+    def test_trailing_tokens_warn(self):
+        with pytest.warns(UserWarning, match="ignoring 2 trailing tokens in QAPLIB"):
+            inst = parse_qaplib(QAP_GOLDEN + "7 8\n")
+        assert inst.dist.tolist() == [[0, 2], [2, 0]]
+
+    @pytest.mark.parametrize("size", ["99999999999999999999", "-99999999999999999999"])
+    def test_size_beyond_int64_is_an_instance_error(self, size):
+        with pytest.raises(InstanceError):
+            parse_qaplib(f"{size}\n0 1\n1 0\n")
+
 
 class TestOrlibMknap:
     def test_golden_parse(self):
@@ -186,6 +231,18 @@ class TestOrlibMknap:
     def test_truncated_profits(self):
         with pytest.raises(TruncatedSection):
             parse_orlib_mknap("1\n3 2 0\n10 20\n")
+
+    def test_trailing_tokens_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_orlib_mknap(MKNAP_GOLDEN)
+        with pytest.warns(UserWarning, match="ignoring 1 trailing tokens in knapsack"):
+            instances = parse_orlib_mknap(MKNAP_GOLDEN + "99\n")
+        assert instances[0].capacity.tolist() == [4.0, 4.0]
+
+    def test_item_count_beyond_int64_is_an_instance_error(self):
+        with pytest.raises(InstanceError):
+            parse_orlib_mknap("1\n99999999999999999999 2 0\n10 20 30\n")
 
 
 class TestRoadnet:

@@ -325,6 +325,17 @@ class TestKnapsackProfit:
             )
             assert prob.fitness(perm) == pytest.approx(explicit)
 
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_fixed_policy_decodes_at_its_threshold(self, rng, k):
+        from conftest import random_knapsack
+
+        inst = random_knapsack(rng, m=2, n=8)
+        prob = KnapsackProblem(inst, threshold_policy=f"fixed:{k}")
+        perms = np.stack([rng.permutation(8) + 1 for _ in range(20)])
+        expected = [knapsack_profit(inst, knapsack_decode(p, k)) for p in perms]
+        assert prob.batch_fitness(perms).tolist() == expected
+        assert len(set(expected)) > 5  # feasible and infeasible rows alike
+
 
 class TestRoadFitness:
     def test_single_edge_values(self):
