@@ -9,13 +9,6 @@ oracles, GA/PSO baselines, and a seeded experiment harness.
 from .baselines import GeneticAlgorithmOptimizer, ParticleSwarmOptimizer
 from .continuous import ContinuousGhosaOptimizer
 from .engine import GhosaOptimizer
-from .harness import (
-    ExperimentConfig,
-    RunStats,
-    aggregate_stats,
-    export_report,
-    run_experiment,
-)
 from .lbniv import lbniv_update, update_d, update_epsilon
 from .operators import BaitingCase, attracting_prey_swarms, baiting
 from .problems import (
@@ -38,6 +31,12 @@ from .problems import (
 )
 
 __version__ = "0.1.0"
+
+#: served by ``__getattr__``, so ``import ghosa`` leaves the experiment harness,
+#: its instance readers, oracles and process pool unloaded until first use
+_HARNESS_NAMES = (
+    "ExperimentConfig", "RunStats", "aggregate_stats", "export_report", "run_experiment"
+)
 
 __all__ = [
     "BaitingCase",
@@ -72,3 +71,15 @@ __all__ = [
     "update_d",
     "update_epsilon",
 ]
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HARNESS_NAMES})

@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -284,6 +283,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
     problem = build_problem(cfg)
     seeds = cfg.seeds()
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_single_run, cfg, problem, seed) for seed in seeds]
             runs = _collect_runs(seeds, [future.result for future in futures])

@@ -134,6 +134,8 @@ def parse_tsplib(text: str) -> TspInstance:
         n = int(header["DIMENSION"])
     except ValueError as exc:
         raise NonNumericToken(f"bad DIMENSION {header['DIMENSION']!r}") from exc
+    if n < 1:
+        raise ParseError(f"DIMENSION must be >= 1, got {n}")
     if "EDGE_WEIGHT_TYPE" not in header:
         raise MissingHeaderField("TSPLIB input lacks an EDGE_WEIGHT_TYPE field")
     metric = header["EDGE_WEIGHT_TYPE"].upper()
@@ -171,20 +173,20 @@ def parse_tsplib(text: str) -> TspInstance:
 
 
 def _parse_explicit_matrix(weights: _Tokens, n: int, fmt: str) -> np.ndarray:
-    # the cells each format lists, row by row as the section does
-    if fmt == "FULL_MATRIX":
-        cells = np.unravel_index(np.arange(n * n), (n, n))
-    elif fmt.startswith("UPPER"):
-        cells = np.triu_indices(n, 0 if fmt == "UPPER_DIAG_ROW" else 1)
-    else:
-        cells = np.tril_indices(n, 0 if fmt == "LOWER_DIAG_ROW" else -1)
+    # the section lists the whole matrix or one triangle, with (diag 0) or
+    # without (diag 1) its diagonal; the count is checked before any cell index
+    diag = 0 if fmt.endswith("DIAG_ROW") else 1
+    count = n * n if fmt == "FULL_MATRIX" else n * (n + 1) // 2 - diag * n
     what = f"{fmt} EDGE_WEIGHT_SECTION for n={n}"
-    values = weights.take(len(cells[0]), what)
+    values = weights.take(count, what)
     if weights.remaining():
         raise CountMismatch(f"{what}: {weights.remaining()} values left over")
+    if fmt == "FULL_MATRIX":
+        return values.reshape(n, n)
 
+    # a triangle, row by row as the section lists it, fills both halves
+    cells = np.triu_indices(n, diag) if fmt.startswith("UPPER") else np.tril_indices(n, -diag)
     m = np.zeros((n, n))
-    # mirror image first: a triangle fills both halves, a full matrix overwrites it
     m[cells[::-1]] = values
     m[cells] = values
     return m
@@ -254,6 +256,8 @@ def parse_orlib_mknap(text: str, name_prefix: str = "mknap") -> list[KnapsackIns
         optimum = toks.take(1, "declared optimum")[0]
         if n < 1 or m < 1:
             raise ParseError(f"problem {p + 1}: bad sizes n={n}, m={m}")
+        if not optimum.is_integer():  # also false for inf and nan
+            raise ParseError(f"problem {p + 1}: declared optimum {optimum:g} is not an integer")
         profit = toks.take(n, f"problem {p + 1} profits")
         weight = toks.take(m * n, f"problem {p + 1} weights").reshape(m, n)
         capacity = toks.take(m, f"problem {p + 1} capacities", error=CountMismatch)

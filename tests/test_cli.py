@@ -158,6 +158,15 @@ def test_parse_check_surplus_matrix_exits_two(capsys, tmp_path):
     assert "3 values left over" in err
 
 
+def test_parse_check_non_integral_optimum_exits_two(capsys, tmp_path):
+    bundle = tmp_path / "inf.txt"
+    bundle.write_text("1\n1 1 inf\n5\n1\n2\n")
+    code, _, err = run_cli(capsys, "parse-check", "--problem", "knapsack",
+                           "--instance", str(bundle))
+    assert code == 2
+    assert "declared optimum inf is not an integer" in err
+
+
 def test_failed_run_exits_three(capsys, monkeypatch):
     # a problem that raises only when a run scores its first rows
     broken = benchmark_function("f18")

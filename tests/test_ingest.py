@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from ghosa.errors import (
     MissingHeaderField,
     NonNumericToken,
     NonPositiveVelocity,
+    ParseError,
     TruncatedMatrix,
     TruncatedSection,
     UnknownNodeReference,
@@ -132,6 +134,23 @@ class TestTsplib:
         with pytest.raises(NonNumericToken):
             parse_tsplib(self.explicit(3, "UPPER_ROW", "2 x 4"))
 
+    def test_short_section_rejected_before_any_cell_index(self):
+        # a 3000 x 3000 cell index alone would take about 240 MB
+        text = self.explicit(3000, "FULL_MATRIX", "1 2 3")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedMatrix, match="needed 9000000 values, found 3"):
+                parse_tsplib(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("dimension", ["0", "-2"])
+    def test_dimension_below_one_is_a_parse_error(self, dimension):
+        with pytest.raises(ParseError, match="DIMENSION must be >= 1"):
+            parse_tsplib(TSP_GOLDEN.replace("DIMENSION : 4", f"DIMENSION : {dimension}"))
+
     def test_header_line_without_key_warns(self):
         text = TSP_GOLDEN.replace("TYPE : TSP", "TYPE : TSP\n: stray")
         with pytest.warns(UserWarning, match="unknown TSPLIB header key ''"):
@@ -215,6 +234,11 @@ class TestOrlibMknap:
     def test_declared_optimum_kept(self):
         text = MKNAP_GOLDEN.replace("3 2 0", "3 2 40")
         assert parse_orlib_mknap(text)[0].best_known == 40
+
+    @pytest.mark.parametrize("optimum", ["inf", "12.5", "nan"])
+    def test_declared_optimum_must_be_an_integer(self, optimum):
+        with pytest.raises(ParseError, match=f"problem 1: declared optimum {optimum} "):
+            parse_orlib_mknap(f"1\n1 1 {optimum}\n5\n1\n2\n")
 
     def test_round_trip(self):
         instances = parse_orlib_mknap(MKNAP_GOLDEN)
