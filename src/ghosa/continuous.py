@@ -79,6 +79,9 @@ class ContinuousGhosaOptimizer(GhosaBase):
         best = best_of(x, fitness)
 
         window_len = window_length(dim, self.window_fraction)
+        window = np.tile(np.arange(window_len), (n_agents, 1))
+        # rows of each agent's rear and front ring neighbour
+        neighbours = (np.arange(n_agents) + np.array([[-1], [1]])) % n_agents
 
         while True:
             cases = case_cdf.searchsorted(rng.random(n_agents), side="right")
@@ -86,9 +89,8 @@ class ContinuousGhosaOptimizer(GhosaBase):
             bait_u = rng.random(n_agents)
             offset = int(rng.integers(0, dim - window_len + 1))
             # change-of-position: each row takes its cheapest slot in the window
-            windows = np.broadcast_to(np.arange(offset, offset + window_len),
-                                      (n_agents, window_len))
-            costs = self._score(problem.placement_cost, x, baits=bait_u, positions=windows)
+            costs = self._score(problem.placement_cost, x, baits=bait_u,
+                                positions=window + offset)
             positions = offset + np.argmin(costs, axis=1)
             baits = lo[positions] + bait_u * span[positions]
 
@@ -98,8 +100,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
                 idx = np.nonzero(rotate)[0]
                 cand[idx] = rotate_segments(cand[idx], 0, dim, shifts[idx])
 
-            rear = np.roll(x, 1, axis=0)
-            front = np.roll(x, -1, axis=0)
+            rear, front = stacked = x[neighbours]
             moved = lbniv_move_batch(cand, best[0], d, eps, rear, front, self.bias)
 
             # bound violations are judged on the pre-clamp move
@@ -111,8 +112,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
             cand_fitness = self._score(problem.evaluate_batch, moved, rng=rng)
 
             # d[..., 0] follows the rear neighbour, d[..., 1] the front one
-            d = np.stack([update_d_batch(cand_fitness, fitness, moved, nb)
-                          for nb in (rear, front)], axis=2)
+            d = np.moveaxis(update_d_batch(cand_fitness, fitness, moved, stacked), 0, 2)
 
             best, worst = self._survive(problem, rng, x, fitness, moved, cand_fitness, best)
             d[worst] = 0.0

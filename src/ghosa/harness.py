@@ -211,7 +211,8 @@ def load_payload(kind: str, instance: str | None, dim: int | None = None):
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Instantiate the problem adapter an experiment runs against."""
+    """Instantiate the problem adapter an experiment runs against; one read
+    from a file carries that file's ``checksum``."""
     kind = cfg.problem
     if kind == "benchmark":
         if not cfg.instance:
@@ -222,14 +223,17 @@ def build_problem(cfg: ExperimentConfig):
         metric = "EUCLID_RAW" if metric.lower() in ("euclid", "euclidean") else metric.upper()
         if metric not in SUPPORTED_METRICS:
             raise ConfigError(f"metric override {cfg.metric_override!r} not supported")
-    _, payload, _ = load_payload(kind, cfg.instance, cfg.dim)
+    record, payload, _ = load_payload(kind, cfg.instance, cfg.dim)
     if kind == "tsp":
-        return TspProblem(payload.with_metric(metric) if metric else payload)
-    if kind == "qap":
-        return QapProblem(payload)
-    if kind == "knapsack":
-        return KnapsackProblem(payload, threshold_policy=cfg.threshold_policy)
-    return RoadNetworkProblem(payload, awt_noise=cfg.awt_noise)
+        problem = TspProblem(payload.with_metric(metric) if metric else payload)
+    elif kind == "qap":
+        problem = QapProblem(payload)
+    elif kind == "knapsack":
+        problem = KnapsackProblem(payload, threshold_policy=cfg.threshold_policy)
+    else:
+        problem = RoadNetworkProblem(payload, awt_noise=cfg.awt_noise)
+    problem.checksum = record.checksum
+    return problem
 
 
 def _make_optimizer(cfg: ExperimentConfig, seed: int | None):
@@ -305,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
         sense=problem.sense,
     )
     report = {
-        "problem": problem.describe(),
+        "problem": {**problem.describe(), "checksum": getattr(problem, "checksum", None)},
         "config": {**cfg.to_dict(), "params": params},
         "seeds": seeds,
         "runs": [

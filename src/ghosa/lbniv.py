@@ -100,8 +100,9 @@ def update_d_batch(
 ) -> np.ndarray:
     """update_d over a population: fitness terms per agent, branch per component.
 
-    ``fitness``/``fitness_prev`` have shape (N,); ``x``/``x_ref`` shape (N, D).
-    Degenerate previous fitness yields 0 rows.
+    ``fitness``/``fitness_prev`` have shape (N,) and ``x`` shape (N, D);
+    ``x_ref`` has shape (N, D), or (K, N, D) for K stacked references, and the
+    result has its shape.  Degenerate previous fitness yields 0 rows.
     """
     prev = fitness_prev[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):

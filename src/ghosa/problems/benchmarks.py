@@ -310,15 +310,18 @@ class BenchmarkFunction:
         """Nominal value of each row of ``x`` with its bait at each slot of ``positions``.
 
         Entry ``[i, j]`` scores row i with ``lo[p] + baits[i] * span[p]`` at slot
-        ``p = positions[i, j]``.  One call per window column: one call over the
-        whole trial block would run Rastrigin's ``cos`` out of cache.
+        ``p = positions[i, j]``.  The bait values and their flat row-major
+        indices are built once; each window column is then a copy of ``x``
+        with one ``put``, scored by its own call: one call over the whole
+        trial block would run Rastrigin's ``cos`` out of cache.
         """
         lo, span = self.bounds[:, 0], self.bounds[:, 1] - self.bounds[:, 0]
-        rows = np.arange(len(x))
+        values = lo[positions] + baits[:, None] * span[positions]
+        flat = positions + np.arange(0, x.size, self.dim)[:, None]
         costs = np.empty(positions.shape)
-        for j, slot in enumerate(positions.T):
+        for j, (slot, value) in enumerate(zip(flat.T, values.T)):
             trial = x.copy()
-            trial[rows, slot] = lo[slot] + baits * span[slot]
+            trial.put(slot, value)
             costs[:, j] = self.evaluate_batch(trial, rng=None)
         return costs
 

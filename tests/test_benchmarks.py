@@ -75,18 +75,27 @@ def test_initial_population_is_uniform_in_the_box(fid, dim):
     assert np.array_equal(x, expected)
 
 
-@pytest.mark.parametrize(
-    "fid, dim", [(fid, None) for fid in benchmark_ids()] + [
-        ("f1", 30), ("f3", 30), ("f5", 30), ("f12", 30)]
-)
-def test_placement_cost_scores_each_slot_without_noise(fid, dim):
+SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
+    ("f1", 30, None), ("f3", 30, None), ("f5", 30, None), ("f12", 30, None),
+    # the engine's input: one read-only (offset, width) window for every row
+    ("f14", None, (1, 1)), ("f5", 30, (3, 25))]
+
+
+@pytest.mark.parametrize("fid, dim, window", SLOT_CASES, ids=[
+    f"{fid}-{dim}" + (f"-window{w[0]}:{w[0] + w[1]}" if w else "")
+    for fid, dim, w in SLOT_CASES])
+def test_placement_cost_scores_each_slot_without_noise(fid, dim, window):
     # oracle: the nominal value of the row with that one slot overwritten;
-    # every row scans its own window, in its own order
+    # every row scans its own window, in its own order, unless one is shared
     f = benchmark_function(fid, dim)
     rng = np.random.default_rng(21)
     x = f.initial_population(rng, 6)
     baits = rng.random(6)
-    positions = np.array([rng.permutation(f.dim)[:4] for _ in range(6)])
+    if window is None:
+        positions = np.array([rng.permutation(f.dim)[:4] for _ in range(6)])
+    else:
+        offset, width = window
+        positions = np.broadcast_to(np.arange(offset, offset + width), (6, width))
     state = rng.bit_generator.state
     costs = f.placement_cost(x, baits, positions)
     assert rng.bit_generator.state == state

@@ -27,7 +27,12 @@ from ghosa.harness import (
     replay_report,
     resolve_instance_path,
 )
-from ghosa.ingest import serialize_orlib_mknap, serialize_qaplib, serialize_roadnet
+from ghosa.ingest import (
+    load_instance,
+    serialize_orlib_mknap,
+    serialize_qaplib,
+    serialize_roadnet,
+)
 from conftest import FIXTURES, random_knapsack, random_qap, random_roadnet  # noqa: E402
 
 
@@ -329,6 +334,19 @@ class TestExport:
         assert data["seeds"] == [4, 5]
         assert data["config"]["instance"] == "f18"
         assert data["stats"]["sd"] >= 0.0
+        # a benchmark function reads no file, so it records no checksum
+        assert data["problem"]["checksum"] is None
+
+    def test_json_records_instance_checksum(self, tmp_path, ulysses16_path):
+        out = tmp_path / "tsp"
+        cfg = ExperimentConfig(
+            problem="tsp", instance=str(ulysses16_path), runs=1, iterations=5,
+            population=6, out=str(out), format="json",
+        )
+        run_experiment(cfg)
+        data = json.loads(out.with_suffix(".json").read_text())
+        record = load_instance(ulysses16_path, "TSPLIB")
+        assert data["problem"]["checksum"] == record.checksum
 
 
 class TestBuildProblem:

@@ -118,6 +118,19 @@ class TestBatchEquivalence:
                         update_d(fit[i], fit_prev[i], x[i, j], ref[i, j])
                     )
 
+    def test_update_d_batch_stacked_references_match_single_calls(self, rng):
+        # the engine updates d for both ring neighbours in one pass over (2, N, D)
+        fit = rng.normal(size=7)
+        fit_prev = rng.normal(size=7)
+        fit_prev[[1, 4]] = [0.0, np.inf]
+        x = rng.normal(size=(7, 5))
+        refs = rng.normal(size=(2, 7, 5))
+        refs[0, 2] = x[2]  # equal components take the upward branch
+        got = update_d_batch(fit, fit_prev, x, refs)
+        assert got.shape == refs.shape
+        for got_k, ref in zip(got, refs):
+            assert np.array_equal(got_k, update_d_batch(fit, fit_prev, x, ref))
+
     def test_update_epsilon_batch_matches_scalar(self, rng):
         bounds = np.array([[-1.0, 1.0], [0.0, 2.0], [-5.0, -3.0]])
         for _ in range(50):
