@@ -4,6 +4,10 @@ Both are deliberately canonical: PSO with constriction-style constants
 (inertia 0.72, c1 = c2 = 1.49) and velocity clamping; GA with size-2
 tournaments, blend crossover, per-gene Gaussian mutation at rate 1/D, and
 one elite.  Positions always stay inside the box.
+
+Each iteration updates its arrays in place, but draws what it always drew, in
+the same order and shape, and keeps the term order of the velocity and blend
+updates: that order is part of every seeded result, so a rewrite must keep it.
 """
 
 from __future__ import annotations
@@ -39,31 +43,33 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
 
     def _run(self, problem, rng):
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-        span = hi - lo
         n, dim = self.population_size, problem.dim
 
         x = problem.initial_population(rng, n)
         v = np.zeros((n, dim))
-        vmax = self.velocity_clamp * span
+        vmax = self.velocity_clamp * (hi - lo)
         fit = self._score(problem.evaluate_batch, x, rng=rng)
         pbest_x = x.copy()
         pbest_f = fit.copy()
         gbest_x, gbest_f = best_of(pbest_x, pbest_f)
+        r1, r2 = np.empty((2, n, dim))
 
         while True:
-            r1 = rng.random((n, dim))
-            r2 = rng.random((n, dim))
-            v = (
-                self.inertia * v
-                + self.cognitive * r1 * (pbest_x - x)
-                + self.social * r2 * (gbest_x[None, :] - x)
-            )
-            v = np.clip(v, -vmax, vmax)
-            x = np.clip(x + v, lo, hi)
+            # v = inertia*v + (cognitive*r1)*(pbest_x - x) + (social*r2)*(gbest_x - x)
+            np.multiply(rng.random(out=r1), self.cognitive, out=r1)
+            np.multiply(rng.random(out=r2), self.social, out=r2)
+            r1 *= pbest_x - x
+            r2 *= gbest_x - x
+            v *= self.inertia
+            v += r1
+            v += r2
+            np.minimum(np.maximum(v, -vmax, out=v), vmax, out=v)
+            x += v
+            np.minimum(np.maximum(x, lo, out=x), hi, out=x)
             fit = self._score(problem.evaluate_batch, x, rng=rng)
             better = fit < pbest_f
-            pbest_x[better] = x[better]
-            pbest_f[better] = fit[better]
+            np.copyto(pbest_x, x, where=better[:, None])
+            np.copyto(pbest_f, fit, where=better)
             gbest_x, gbest_f = best_of(pbest_x, pbest_f, (gbest_x, gbest_f))
             self.best_x_ = gbest_x
             yield gbest_f
@@ -98,30 +104,29 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
         x = problem.initial_population(rng, n)
         fit = self._score(problem.evaluate_batch, x, rng=rng)
         gbest_x, gbest_f = best_of(x, fit)
+        draws, noise = np.empty((2, n, dim))
 
         while True:
             # tournament selection of n parents
             entrants = rng.integers(0, n, size=(n, self.tournament_size))
             winners = entrants[np.arange(n), np.argmin(fit[entrants], axis=1)]
-            parents = x[winners]
+            children = x.take(winners, axis=0)
 
             # blend crossover between consecutive parent pairs
-            children = parents.copy()
-            pair_a = children[0::2]
-            pair_b = children[1::2]
-            n_pairs = min(len(pair_a), len(pair_b))
-            do_cx = rng.random(n_pairs) < self.crossover_rate
-            u = rng.uniform(-0.25, 1.25, size=(n_pairs, dim))
-            mixed_a = pair_a[:n_pairs] + u * (pair_b[:n_pairs] - pair_a[:n_pairs])
-            mixed_b = pair_b[:n_pairs] + u * (pair_a[:n_pairs] - pair_b[:n_pairs])
-            pair_a[:n_pairs][do_cx] = mixed_a[do_cx]
-            pair_b[:n_pairs][do_cx] = mixed_b[do_cx]
+            pair_a, pair_b = children[: n - 1 : 2], children[1::2]
+            do_cx = rng.random(len(pair_b)) < self.crossover_rate
+            u = rng.uniform(-0.25, 1.25, size=pair_b.shape)
+            mixed_a = pair_a + u * (pair_b - pair_a)
+            mixed_b = pair_b + u * (pair_a - pair_b)
+            np.copyto(pair_a, mixed_a, where=do_cx[:, None])
+            np.copyto(pair_b, mixed_b, where=do_cx[:, None])
 
             # per-gene Gaussian mutation
-            mutate = rng.random((n, dim)) < mrate
-            noise = rng.normal(0.0, 1.0, size=(n, dim)) * self.mutation_scale * span
-            children = np.where(mutate, children + noise, children)
-            children = np.clip(children, lo, hi)
+            mutate = rng.random(out=draws) < mrate
+            np.multiply(rng.standard_normal(out=noise), self.mutation_scale, out=noise)
+            noise *= span
+            np.add(children, noise, out=children, where=mutate)
+            np.minimum(np.maximum(children, lo, out=children), hi, out=children)
 
             child_fit = self._score(problem.evaluate_batch, children, rng=rng)
 

@@ -10,6 +10,19 @@ from ghosa import (
 from ghosa.errors import ConfigError
 
 
+def record_batches(f):
+    """Make ``f`` keep a copy of every batch it scores; returns the list."""
+    batches = []
+    evaluate_batch = f.evaluate_batch
+
+    def recording(x, rng=None):
+        batches.append(np.array(x))
+        return evaluate_batch(x, rng=rng)
+
+    f.evaluate_batch = recording
+    return batches
+
+
 class TestPso:
     def test_degenerate_particle_never_moves(self):
         f = benchmark_function("f1", dim=3)
@@ -44,6 +57,15 @@ class TestPso:
         assert np.all(opt.best_x_ >= f.bounds[:, 0])
         assert np.all(opt.best_x_ <= f.bounds[:, 1])
 
+    def test_zero_velocity_clamp_never_moves(self):
+        f = benchmark_function("f5", dim=4)
+        batches = record_batches(f)
+        opt = ParticleSwarmOptimizer(
+            population_size=6, iterations=30, velocity_clamp=0.0, seed=4
+        ).fit(f)
+        assert np.all(opt.trace_ == opt.trace_[0])
+        assert all(np.array_equal(b, batches[0]) for b in batches)
+
     def test_seeded_determinism(self):
         f = benchmark_function("f5", dim=3)
         a = ParticleSwarmOptimizer(population_size=10, iterations=100, seed=8).fit(f)
@@ -59,6 +81,23 @@ class TestGa:
             mutation_rate=0.0, seed=0,
         ).fit(f)
         assert np.all(np.diff(opt.trace_) == 0.0)
+
+    @pytest.mark.parametrize("crossover_rate", [0.0, 1.0])
+    def test_odd_population_keeps_its_unpaired_child(self, crossover_rate):
+        # without mutation every child a crossover leaves alone, and always
+        # the seventh, is a copy of a row of the previous population
+        f = benchmark_function("f1", dim=4)
+        batches = record_batches(f)
+        GeneticAlgorithmOptimizer(
+            population_size=7, iterations=20, crossover_rate=crossover_rate,
+            mutation_rate=0.0, seed=6,
+        ).fit(f)
+        kept = 7 if crossover_rate == 0.0 else 1
+        for k in range(1, len(batches)):
+            # the elite may have been scored in any earlier batch
+            scored = np.vstack(batches[:k])
+            for child in batches[k][7 - kept:]:
+                assert (child == scored).all(axis=1).any()
 
     def test_sphere_convergence(self):
         opt = GeneticAlgorithmOptimizer(seed=2, target=1e-2).fit(
@@ -85,6 +124,21 @@ class TestGa:
         a = GeneticAlgorithmOptimizer(population_size=10, iterations=80, seed=5).fit(f)
         b = GeneticAlgorithmOptimizer(population_size=10, iterations=80, seed=5).fit(f)
         assert np.array_equal(a.trace_, b.trace_)
+
+
+@pytest.mark.parametrize("cls", [ParticleSwarmOptimizer, GeneticAlgorithmOptimizer])
+@pytest.mark.parametrize("fid", ["f1", "f22"])
+def test_best_x_is_scored_and_not_shared(cls, fid):
+    # the loops update positions, velocities and children in place; the
+    # returned best row must be the one scored, and owned by the caller
+    f = benchmark_function(fid)
+    opt = cls(population_size=9, iterations=60, seed=4).fit(f)
+    assert f.evaluate(opt.best_x_) == opt.best_fitness_
+    trace, best_x = opt.trace_, opt.best_x_.copy()
+    opt.best_x_[:] = f.bounds[:, 1]
+    opt.fit(f)
+    assert np.array_equal(opt.trace_, trace)
+    assert np.array_equal(opt.best_x_, best_x)
 
 
 class TestBaselineValidation:

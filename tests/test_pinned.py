@@ -3,9 +3,9 @@
 Replay tests compare two runs of the same code, so they cannot see a kernel
 rewrite that changes results.  These fits pin the best fitness (as
 ``float.hex``) and the sha256 of the trace and of the best row, as recorded
-at commit 8133004 (the windowed sphere at f2e3782) with numpy 2.4 on
-x86-64.  A change that alters any scored value, draw or tie-break changes
-them.
+at commit 8133004 (the windowed sphere at f2e3782, the PSO and GA fits at
+2574537) with numpy 2.4 on x86-64.  A change that alters any scored value,
+draw or tie-break changes them.
 
 One ulp of difference flips accept decisions, so every pinned fit scores
 with integer values or correctly rounded operations (+, -, *, /, sqrt),
@@ -13,7 +13,9 @@ which give the same bits on any IEEE platform.  numpy's ``cos`` and
 ``arccos`` may round differently by CPU and numpy version: the continuous
 fit uses the sphere, not Rastrigin, and the GEO fit relies on its distances
 being floored to integers far from a rounding edge, which
-``test_geo_distances_are_far_from_an_integer_edge`` checks.
+``test_geo_distances_are_far_from_an_integer_edge`` checks.  The GA's
+mutation noise comes from numpy's ziggurat normal sampler, whose output is
+pinned with the same numpy 2.4 on x86-64 as the rest.
 """
 
 import hashlib
@@ -24,8 +26,10 @@ import pytest
 from conftest import FIXTURES, random_knapsack, random_qap
 from ghosa import (
     ContinuousGhosaOptimizer,
+    GeneticAlgorithmOptimizer,
     GhosaOptimizer,
     KnapsackProblem,
+    ParticleSwarmOptimizer,
     QapProblem,
     RoadNetworkProblem,
     TspInstance,
@@ -52,7 +56,8 @@ def _grid4_noise():
 
 # name -> (problem factory, optimizer); TSP n=16 scans its whole string,
 # TSP n=60 scans a 15-slot window and rotates segments; the sphere at d=10
-# scans its whole string, at d=30 an 8-slot window
+# scans its whole string, at d=30 an 8-slot window; the odd GA population
+# leaves its last child unpaired in crossover
 CASES = {
     "tsp-ulysses16-geo": (
         _ulysses16, lambda: GhosaOptimizer(population_size=20, iterations=150, seed=5)),
@@ -73,6 +78,17 @@ CASES = {
         lambda: benchmark_function("f1", dim=30),
         lambda: ContinuousGhosaOptimizer(
             population_size=20, iterations=100, window_fraction=0.25, seed=11)),
+    "pso-sphere-d10": (
+        lambda: benchmark_function("f1", dim=10),
+        lambda: ParticleSwarmOptimizer(population_size=20, iterations=100, seed=12)),
+    "ga-sphere-d10": (
+        lambda: benchmark_function("f1", dim=10),
+        lambda: GeneticAlgorithmOptimizer(population_size=20, iterations=100, seed=13)),
+    "ga-sphere-d30-odd-pop": (
+        lambda: benchmark_function("f1", dim=30),
+        lambda: GeneticAlgorithmOptimizer(
+            population_size=7, iterations=100, tournament_size=3, crossover_rate=0.5,
+            mutation_rate=0.3, seed=14)),
 }
 
 # name -> (best_fitness_.hex(), sha256 of trace_, sha256 of the best row)
@@ -87,10 +103,25 @@ PINNED = {
         "f38d290c36299070e1f56eda91e97b19549da4cd218e218651ac006d93b9f1a7",
         "402213d5d7ded1349ae50a7969f0efedc3a0f21adb42a076deb2a1a611421abb",
     ),
+    "ga-sphere-d10": (
+        "0x1.7e81f26a64e19p-4",
+        "83d7aaa227c1171eda0686a5204e4d94e1b0b2d9f1daffbca850b2a8e816e4ab",
+        "cd7fd39860287e7738173104171a795a2a5b952ca7e7cf4fc3466982201e294d",
+    ),
+    "ga-sphere-d30-odd-pop": (
+        "0x1.dea70c93cbd03p+7",
+        "2ed5425e695cae73e90b8a86279fc9935cbff5c0f08d3bd5fdee8b41e4d00e91",
+        "d8a5c4eb5f855e4b2e0d13d71a44852d8c25bfa2900f90ddfeb597fe944ecc29",
+    ),
     "knapsack3x30": (
         "0x1.fe80000000000p+9",
         "cf52cc0c8faa6c2623cc1283a3882fb4e27751e53f0d2a7a14e55d2a9d18a067",
         "001b0f6929a8d48c82182aac6237e00d9a541eff5d997e7de5f49314b001f2d6",
+    ),
+    "pso-sphere-d10": (
+        "0x1.19da9ed3b4224p-10",
+        "4b90f5fba3e7664b06ac0b5e7f4b1115f7db2f4b4a1c7a194ab9c8e60d9c5f72",
+        "9d424e72bb29b73f1c09bdf837e8c58681e87fc011c5d44f6c369f81a48ded5e",
     ),
     "qap12-symmetric": (
         "0x1.4170000000000p+13",
