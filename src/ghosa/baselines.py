@@ -42,12 +42,11 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
             check_positive(getattr(self, name), name, strict=False)
 
     def _run(self, problem, rng):
-        lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         n, dim = self.population_size, problem.dim
 
         x = problem.initial_population(rng, n)
         v = np.zeros((n, dim))
-        vmax = self.velocity_clamp * (hi - lo)
+        vmax = self.velocity_clamp * problem.span
         fit = self._score(problem.evaluate_batch, x, rng=rng)
         pbest_x = x.copy()
         pbest_f = fit.copy()
@@ -65,7 +64,7 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
             v += r2
             np.minimum(np.maximum(v, -vmax, out=v), vmax, out=v)
             x += v
-            np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+            problem.clamp(x)
             fit = self._score(problem.evaluate_batch, x, rng=rng)
             better = fit < pbest_f
             np.copyto(pbest_x, x, where=better[:, None])
@@ -96,8 +95,6 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
         check_int_at_least(self.tournament_size, 1, "tournament_size")
 
     def _run(self, problem, rng):
-        lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-        span = hi - lo
         n, dim = self.population_size, problem.dim
         mrate = self.mutation_rate if self.mutation_rate is not None else 1.0 / dim
 
@@ -124,9 +121,9 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
             # per-gene Gaussian mutation
             mutate = rng.random(out=draws) < mrate
             np.multiply(rng.standard_normal(out=noise), self.mutation_scale, out=noise)
-            noise *= span
+            noise *= problem.span
             np.add(children, noise, out=children, where=mutate)
-            np.minimum(np.maximum(children, lo, out=children), hi, out=children)
+            problem.clamp(children)
 
             child_fit = self._score(problem.evaluate_batch, children, rng=rng)
 

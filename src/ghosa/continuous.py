@@ -66,11 +66,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
 
     def _run(self, problem, rng):
         case_cdf = categorical_cdf([self.p_miss, self.p_catch, self.p_false])
-        dim = problem.dim
-        n_agents = self.population_size
-        bounds = problem.bounds
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        span = hi - lo
+        n_agents, dim = self.population_size, problem.dim
 
         x, fitness = self._fresh(problem, rng, n_agents)
         d = np.zeros((n_agents, dim, 2))
@@ -92,7 +88,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
             costs = self._score(problem.placement_cost, x, baits=bait_u,
                                 positions=window + offset)
             positions = offset + np.argmin(costs, axis=1)
-            baits = lo[positions] + bait_u * span[positions]
+            baits = problem.lo[positions] + bait_u * problem.span[positions]
 
             cand = apply_cases(x, cases, positions, baits, permutation=False)
             if dim >= 2 and np.any(rotate):
@@ -104,11 +100,11 @@ class ContinuousGhosaOptimizer(GhosaBase):
             moved = lbniv_move_batch(cand, best[0], d, eps, rear, front, self.bias)
 
             # bound violations are judged on the pre-clamp move
-            eps = update_epsilon_batch(eps, moved, bounds, self.k)
+            eps = update_epsilon_batch(eps, moved, problem.bounds, self.k)
             runaway = ~np.isfinite(eps) | (eps > EPS_CAP)
             eps = np.where(runaway, self.eps0, eps)
 
-            moved = np.clip(moved, lo[None, :], hi[None, :])
+            problem.clamp(moved)
             cand_fitness = self._score(problem.evaluate_batch, moved, rng=rng)
 
             # d[..., 0] follows the rear neighbour, d[..., 1] the front one

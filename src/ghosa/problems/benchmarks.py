@@ -287,6 +287,8 @@ class BenchmarkFunction:
         self.dim = dim
         # a single (min, max) pair or scalar minimizer applies to every variable
         self.bounds = np.array(np.broadcast_to(bounds, (dim, 2)), dtype=float)
+        self.lo, self.hi = self.bounds.T.copy()
+        self.span = self.hi - self.lo
         self.fn = fn
         self.optimum = self.best_known = optimum
         self.optimizer = np.array(np.broadcast_to(optimizer, dim), dtype=float)
@@ -294,7 +296,11 @@ class BenchmarkFunction:
 
     def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` points drawn uniformly from the box, one per row."""
-        return rng.uniform(self.bounds[:, 0], self.bounds[:, 1], size=(count, self.dim))
+        return rng.uniform(self.lo, self.hi, size=(count, self.dim))
+
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """Clamp the rows of ``x`` into the box in place and return ``x``."""
+        return np.minimum(np.maximum(x, self.lo, out=x), self.hi, out=x)
 
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -315,8 +321,7 @@ class BenchmarkFunction:
         with one ``put``, scored by its own call: one call over the whole
         trial block would run Rastrigin's ``cos`` out of cache.
         """
-        lo, span = self.bounds[:, 0], self.bounds[:, 1] - self.bounds[:, 0]
-        values = lo[positions] + baits[:, None] * span[positions]
+        values = self.lo[positions] + baits[:, None] * self.span[positions]
         flat = positions + np.arange(0, x.size, self.dim)[:, None]
         costs = np.empty(positions.shape)
         for j, (slot, value) in enumerate(zip(flat.T, values.T)):
@@ -352,6 +357,6 @@ def eval_benchmark(fid: str, x, rng=None) -> float:
     f = BenchmarkFunction(fid, dim)
     if x.shape != (f.dim,):
         raise DimensionMismatch(f"{fid} expects dimension {f.dim}, got {x.shape}")
-    if np.any(x < f.bounds[:, 0]) or np.any(x > f.bounds[:, 1]):
+    if np.any(x < f.lo) or np.any(x > f.hi):
         raise OutOfBounds(f"point outside the declared range of {fid}")
     return f.evaluate(x, rng=rng)

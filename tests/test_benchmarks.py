@@ -33,6 +33,26 @@ def test_minimizer_inside_bounds(fid):
     assert np.all(f.optimizer <= f.bounds[:, 1] + 1e-12)
 
 
+@pytest.mark.parametrize("fid", benchmark_ids())
+def test_box_columns_and_span(fid):
+    f = benchmark_function(fid)
+    assert np.array_equal(f.lo, f.bounds[:, 0])
+    assert np.array_equal(f.hi, f.bounds[:, 1])
+    assert np.array_equal(f.span, f.bounds[:, 1] - f.bounds[:, 0])
+
+
+@pytest.mark.parametrize("fid", ["f23", "f24"])
+def test_clamp_in_place_matches_clip_bit_for_bit(fid):
+    # f24's box starts at 0.0, so signed zeros meet the lower bound exactly
+    f = benchmark_function(fid)
+    special = [-0.0, 0.0, -np.inf, np.inf, np.nan, -5.0, 5.0, 1e-300]
+    x = np.array([[a, b] for a in special for b in special])
+    expected = np.clip(x, f.bounds[:, 0], f.bounds[:, 1])
+    out = f.clamp(x)
+    assert out is x
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("fid", sorted(PUBLISHED))
 def test_precise_optimum_near_published_value(fid):
     published, tol = PUBLISHED[fid]

@@ -4,18 +4,22 @@ Replay tests compare two runs of the same code, so they cannot see a kernel
 rewrite that changes results.  These fits pin the best fitness (as
 ``float.hex``) and the sha256 of the trace and of the best row, as recorded
 at commit 8133004 (the windowed sphere at f2e3782, the PSO and GA fits at
-2574537) with numpy 2.4 on x86-64.  A change that alters any scored value,
-draw or tie-break changes them.
+2574537, the Michalewicz fits at 3b16e89) with numpy 2.4 on x86-64.  A
+change that alters any scored value, draw or tie-break changes them.
 
-One ulp of difference flips accept decisions, so every pinned fit scores
-with integer values or correctly rounded operations (+, -, *, /, sqrt),
-which give the same bits on any IEEE platform.  numpy's ``cos`` and
-``arccos`` may round differently by CPU and numpy version: the continuous
-fit uses the sphere, not Rastrigin, and the GEO fit relies on its distances
-being floored to integers far from a rounding edge, which
+One ulp of difference flips accept decisions, so every pinned fit but the
+Michalewicz ones scores with integer values or correctly rounded operations
+(+, -, *, /, sqrt), which give the same bits on any IEEE platform.  numpy's
+``cos`` and ``arccos`` may round differently by CPU and numpy version: the
+sphere fits avoid Rastrigin, and the GEO fit relies on its distances being
+floored to integers far from a rounding edge, which
 ``test_geo_distances_are_far_from_an_integer_edge`` checks.  The GA's
 mutation noise comes from numpy's ziggurat normal sampler, whose output is
-pinned with the same numpy 2.4 on x86-64 as the rest.
+pinned with the same numpy 2.4 on x86-64 as the rest.  The Michalewicz fits
+(f24, box [0, pi]^2) are the only ones that clamp at a lower bound of 0: the
+GHOSA fit clamps 240 coordinates up to 0.0 and ends with 26 zeros in its
+population.  They score with numpy's ``sin``, so they too hold only with
+numpy 2.4 on x86-64.
 """
 
 import hashlib
@@ -63,6 +67,11 @@ CASES = {
         _ulysses16, lambda: GhosaOptimizer(population_size=20, iterations=150, seed=5)),
     "tsp-euc60": (
         _euc60, lambda: GhosaOptimizer(population_size=30, iterations=150, seed=6)),
+    "pso-michalewicz-zero-bound": (
+        "0x0.0p+0",
+        "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    ),
     "qap12-symmetric": (
         lambda: QapProblem(random_qap(np.random.default_rng(12), n=12)),
         lambda: GhosaOptimizer(population_size=20, iterations=150, seed=7)),
@@ -89,10 +98,21 @@ CASES = {
         lambda: GeneticAlgorithmOptimizer(
             population_size=7, iterations=100, tournament_size=3, crossover_rate=0.5,
             mutation_rate=0.3, seed=14)),
+    "continuous-michalewicz-zero-bound": (
+        lambda: benchmark_function("f24"),
+        lambda: ContinuousGhosaOptimizer(population_size=20, iterations=100, seed=0)),
+    "pso-michalewicz-zero-bound": (
+        lambda: benchmark_function("f24"),
+        lambda: ParticleSwarmOptimizer(population_size=20, iterations=100, seed=0)),
 }
 
 # name -> (best_fitness_.hex(), sha256 of trace_, sha256 of the best row)
 PINNED = {
+    "continuous-michalewicz-zero-bound": (
+        "0x0.0p+0",
+        "4915eea92a172632bb982485e9c8e4d05f7365dc4c78bcb2d64a02c5d93e9939",
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    ),
     "continuous-sphere-d10": (
         "0x1.b861d2815e4d2p+3",
         "570060f2047f37603c67b727e8422926ec58dd798282e146818da0459db0cd78",
@@ -122,6 +142,11 @@ PINNED = {
         "0x1.19da9ed3b4224p-10",
         "4b90f5fba3e7664b06ac0b5e7f4b1115f7db2f4b4a1c7a194ab9c8e60d9c5f72",
         "9d424e72bb29b73f1c09bdf837e8c58681e87fc011c5d44f6c369f81a48ded5e",
+    ),
+    "pso-michalewicz-zero-bound": (
+        "0x0.0p+0",
+        "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
     ),
     "qap12-symmetric": (
         "0x1.4170000000000p+13",
