@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, InstanceError, TooLarge
 from .harness import (
     ALGORITHMS,
-    ORACLES,
+    KINDS,
     PROBLEM_KINDS,
     ExperimentConfig,
     load_payload,
@@ -109,12 +109,11 @@ def oracle(problem, instance, dim, cache):
     """Exactly solve a small instance and print the optimum."""
     _, payload, key = load_payload(problem, instance, dim)
     store = OracleCache(cache) if cache else None
-    if store is not None:
-        hit = store.get(key)
-        if hit is not None:
-            click.echo(f"optimum {hit!r} (cached)")
-            return
-    result = ORACLES[problem](payload)
+    hit = store.get(key) if store is not None else None
+    if hit is not None:
+        click.echo(f"optimum {hit!r} (cached)")
+        return
+    result = KINDS[problem].oracle(payload)
     if store is not None:
         store.put(key, result.optimum)
     click.echo(f"optimum {result.optimum!r}")
@@ -127,22 +126,8 @@ def oracle(problem, instance, dim, cache):
 def parse_check(problem, instance):
     """Parse and validate an instance file, printing a summary."""
     record, _, _ = load_payload(problem, instance)
-    payload = record.payload
-    click.echo(f"format {record.format}")
-    click.echo(f"checksum {record.checksum}")
-    if problem == "knapsack":
-        for inst in payload:
-            click.echo(
-                f"instance {inst.name}: m={inst.m} n={inst.n} "
-                f"best_known={inst.best_known}"
-            )
-    elif problem == "roadnet":
-        click.echo(
-            f"nodes={len(payload.nodes)} edges={len(payload.edges)} "
-            f"V={payload.velocity} route {payload.source}->{payload.destination}"
-        )
-    else:
-        click.echo(f"instance {payload.name}: n={payload.n}")
+    lines = [f"format {record.format}", f"checksum {record.checksum}"]
+    click.echo("\n".join(lines + KINDS[problem].summary(record.payload)))
 
 
 def entrypoint(argv=None) -> int:

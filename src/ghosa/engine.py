@@ -18,7 +18,6 @@ from .base import (
     GhosaBase,
     best_of,
     categorical_cdf,
-    check_int_at_least,
     check_probability,
     check_window_fraction,
     window_length,
@@ -47,14 +46,11 @@ class GhosaOptimizer(GhosaBase):
 
     window_fraction: float = 0.25
     swarm_rate: float = 0.2
-    max_shift: int | None = None
 
     def check_params(self):
         super().check_params()
         check_probability(self.swarm_rate, "swarm_rate")
         check_window_fraction(self.window_fraction)
-        if self.max_shift is not None:
-            check_int_at_least(self.max_shift, 1, "max_shift")
 
     def _fresh(self, problem, rng, count):
         rows = problem.initial_population(rng, count)
@@ -104,8 +100,7 @@ class GhosaOptimizer(GhosaBase):
                 length = rng.integers(2, n + 1, size=len(rotating))
                 start = rng.integers(0, n - length + 1)
                 stop = start + length
-            cap = np.minimum(stop - start - 1, self.max_shift or n)
-            shift = rng.integers(1, cap + 1, size=len(rotating))
+            shift = rng.integers(1, stop - start, size=len(rotating))
             rotated = sequences.copy()
             rotated[rotating] = rotate_segments(rotated[rotating], start, stop, shift)
             candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -40,27 +41,65 @@ DATA_DIR_ENV = "GHOSA_DATA_DIR"
 
 CSV_COLUMNS = ("name", "dim", "optimum", "mean", "sd", "best", "worst", "error")
 
-#: ingest format and exact oracle of each problem kind that reads an instance file
-INSTANCE_FORMATS = {
-    "tsp": "TSPLIB",
-    "qap": "QAPLIB",
-    "knapsack": "ORLIB_MKNAP",
-    "roadnet": "ROADNET",
+
+def _tsp_metric(name: str) -> str:
+    """The TSPLIB metric a ``metric_override`` names ('euclid' is raw Euclidean)."""
+    metric = "EUCLID_RAW" if name.lower() in ("euclid", "euclidean") else name.upper()
+    if metric not in SUPPORTED_METRICS:
+        raise ConfigError(f"metric override {name!r} not supported")
+    return metric
+
+
+def _benchmark(name, cfg):
+    if not name:
+        raise ConfigError("benchmark problems need a function id (f1..f25)")
+    return benchmark_function(name, cfg.dim)
+
+
+@dataclass(frozen=True)
+class ProblemKind:
+    """One problem kind as the harness and the CLI see it."""
+
+    format: str | None  # ingest format of its instance file; None reads no file
+    oracle: Callable | None  # exact solver of one payload
+    adapter: Callable  # (payload, cfg) -> problem; a benchmark's payload is its id
+    options: tuple[str, ...] = ()  # the ExperimentConfig problem options it reads
+    continuous: bool = False  # runs ContinuousGhosaOptimizer; admits GA and PSO
+    # payload -> the lines parse-check prints after the format and checksum
+    summary: Callable = lambda payload: [f"instance {payload.name}: n={payload.n}"]
+
+
+KINDS = {
+    "tsp": ProblemKind(
+        "TSPLIB", brute_force_tsp,
+        lambda payload, cfg: TspProblem(
+            payload.with_metric(_tsp_metric(cfg.metric_override))
+            if cfg.metric_override else payload
+        ),
+        ("metric_override",),
+    ),
+    "qap": ProblemKind("QAPLIB", brute_force_qap, lambda payload, cfg: QapProblem(payload)),
+    "knapsack": ProblemKind(
+        "ORLIB_MKNAP", exact_knapsack,
+        lambda payload, cfg: KnapsackProblem(payload, threshold_policy=cfg.threshold_policy),
+        ("threshold_policy", "dim"),
+        summary=lambda bundle: [
+            f"instance {inst.name}: m={inst.m} n={inst.n} best_known={inst.best_known}"
+            for inst in bundle
+        ],
+    ),
+    "roadnet": ProblemKind(
+        "ROADNET", exact_shortest_paths,
+        lambda payload, cfg: RoadNetworkProblem(payload, awt_noise=cfg.awt_noise),
+        ("awt_noise",),
+        summary=lambda net: [
+            f"nodes={len(net.nodes)} edges={len(net.edges)} "
+            f"V={net.velocity} route {net.source}->{net.destination}"
+        ],
+    ),
+    "benchmark": ProblemKind(None, None, _benchmark, ("dim",), continuous=True),
 }
-ORACLES = {
-    "tsp": brute_force_tsp,
-    "qap": brute_force_qap,
-    "knapsack": exact_knapsack,
-    "roadnet": exact_shortest_paths,
-}
-PROBLEM_KINDS = (*INSTANCE_FORMATS, "benchmark")
-#: problem options and the kinds whose adapter reads them
-OPTION_KINDS = {
-    "metric_override": ("tsp",),
-    "threshold_policy": ("knapsack",),
-    "awt_noise": ("roadnet",),
-    "dim": ("knapsack", "benchmark"),
-}
+PROBLEM_KINDS = tuple(KINDS)
 ALGORITHMS = ("GHOSA", "GA", "PSO")
 BASELINES = {"GA": GeneticAlgorithmOptimizer, "PSO": ParticleSwarmOptimizer}
 #: parameters every optimizer takes; the harness sets them from the experiment
@@ -141,14 +180,18 @@ class ExperimentConfig:
         check_int_at_least(self.workers, 1, "workers")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if self.algorithm in ("GA", "PSO") and self.problem != "benchmark":
+        kind = KINDS[self.problem]
+        if self.algorithm in BASELINES and not kind.continuous:
             raise ConfigError(f"{self.algorithm} baseline only runs on benchmark problems")
-        for name, kinds in OPTION_KINDS.items():
+        for name in dict.fromkeys(o for spec in KINDS.values() for o in spec.options):
             default = self.__dataclass_fields__[name].default
-            if self.problem not in kinds and getattr(self, name) != default:
+            if name not in kind.options and getattr(self, name) != default:
+                kinds = [k for k, spec in KINDS.items() if name in spec.options]
                 raise ConfigError(
                     f"{name} applies to {' and '.join(kinds)} problems, not {self.problem}"
                 )
+        if self.metric_override:
+            _tsp_metric(self.metric_override)
         shared = sorted(set(self.params) & set(SHARED_PARAMS))
         if shared:
             raise ConfigError(f"params {shared} are set by the experiment's own fields")
@@ -176,31 +219,25 @@ class ExperimentConfig:
 def resolve_instance_path(path_str: str) -> Path:
     """Absolute or CWD-relative path, else relative to the dataset root."""
     p = Path(path_str)
-    if p.exists() or p.is_absolute():
-        return p
     root = os.environ.get(DATA_DIR_ENV)
-    if root:
-        candidate = Path(root) / p
-        if candidate.exists():
-            return candidate
+    if root and not p.exists() and not p.is_absolute() and (Path(root) / p).exists():
+        return Path(root) / p
     return p
 
 
 def load_payload(kind: str, instance: str | None, dim: int | None = None):
-    """Read the instance a file-backed problem kind works on.
-
-    Returns the file's record, the selected instance (``dim`` is the 1-based
-    index into a knapsack bundle, default 1) and that instance's oracle cache
-    key: the file checksum, plus ``#k`` for instance k of a bundle of several.
-    """
-    if kind not in INSTANCE_FORMATS:
+    """Read a file-backed kind's instance: the file's record, the selected instance
+    (``dim`` is the 1-based index into a bundle, default 1) and that instance's
+    oracle cache key: the file checksum, plus ``#k`` for instance k of several."""
+    fmt = KINDS[kind].format
+    if fmt is None:
         raise ConfigError(f"{kind} problems take no instance file")
     if not instance:
         raise ConfigError(f"{kind} problems need an instance path")
-    record = load_instance(resolve_instance_path(instance), INSTANCE_FORMATS[kind])
-    if kind != "knapsack":
-        return record, record.payload, record.checksum
+    record = load_instance(resolve_instance_path(instance), fmt)
     bundle = record.payload
+    if not isinstance(bundle, list):
+        return record, bundle, record.checksum
     index = 1 if dim is None else dim
     if not 1 <= index <= len(bundle):
         raise ConfigError(
@@ -213,40 +250,20 @@ def load_payload(kind: str, instance: str | None, dim: int | None = None):
 def build_problem(cfg: ExperimentConfig):
     """Instantiate the problem adapter an experiment runs against; one read
     from a file carries that file's ``checksum``."""
-    kind = cfg.problem
-    if kind == "benchmark":
-        if not cfg.instance:
-            raise ConfigError("benchmark problems need a function id (f1..f25)")
-        return benchmark_function(cfg.instance, cfg.dim)
-    metric = cfg.metric_override
-    if kind == "tsp" and metric:
-        metric = "EUCLID_RAW" if metric.lower() in ("euclid", "euclidean") else metric.upper()
-        if metric not in SUPPORTED_METRICS:
-            raise ConfigError(f"metric override {cfg.metric_override!r} not supported")
-    record, payload, _ = load_payload(kind, cfg.instance, cfg.dim)
-    if kind == "tsp":
-        problem = TspProblem(payload.with_metric(metric) if metric else payload)
-    elif kind == "qap":
-        problem = QapProblem(payload)
-    elif kind == "knapsack":
-        problem = KnapsackProblem(payload, threshold_policy=cfg.threshold_policy)
-    else:
-        problem = RoadNetworkProblem(payload, awt_noise=cfg.awt_noise)
+    kind = KINDS[cfg.problem]
+    if kind.format is None:
+        return kind.adapter(cfg.instance, cfg)
+    record, payload, _ = load_payload(cfg.problem, cfg.instance, cfg.dim)
+    problem = kind.adapter(payload, cfg)
     problem.checksum = record.checksum
     return problem
 
 
 def _make_optimizer(cfg: ExperimentConfig, seed: int | None):
-    if cfg.algorithm == "GHOSA":
-        cls = ContinuousGhosaOptimizer if cfg.problem == "benchmark" else GhosaOptimizer
-    else:
-        cls = BASELINES[cfg.algorithm]
-    return cls(
-        population_size=cfg.population,
-        iterations=cfg.iterations,
-        target=cfg.target,
-        seed=seed,
-    ).set_params(**cfg.params)
+    ghosa = ContinuousGhosaOptimizer if KINDS[cfg.problem].continuous else GhosaOptimizer
+    cls = BASELINES.get(cfg.algorithm, ghosa)
+    return cls(population_size=cfg.population, iterations=cfg.iterations,
+               target=cfg.target, seed=seed).set_params(**cfg.params)
 
 
 class RunFailure(GhosaError):
@@ -267,19 +284,17 @@ def _collect_runs(seeds: list[int], outcomes) -> list[dict]:
 
 def _single_run(cfg: ExperimentConfig, problem, seed: int) -> dict:
     opt = _make_optimizer(cfg, seed).fit(problem)
-    result = {
+    return {
         "seed": seed,
         "best_fitness": float(opt.best_fitness_),
         "trace": np.asarray(opt.trace_),
         "iterations_run": int(opt.n_iterations_),
         "evaluations": int(opt.evaluations_),
         "components": getattr(opt, "trace_components_", None),
+        "best_solution": (
+            opt.best_x_ if KINDS[cfg.problem].continuous else opt.best_sequence_
+        ).tolist(),
     }
-    if hasattr(opt, "best_sequence_"):
-        result["best_solution"] = opt.best_sequence_.tolist()
-    else:
-        result["best_solution"] = opt.best_x_.tolist()
-    return result
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
@@ -312,10 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
         "problem": {**problem.describe(), "checksum": getattr(problem, "checksum", None)},
         "config": {**cfg.to_dict(), "params": params},
         "seeds": seeds,
-        "runs": [
-            {k: v for k, v in r.items() if k != "trace" and k != "components"}
-            for r in runs
-        ],
+        "runs": [{k: v for k, v in r.items() if k not in ("trace", "components")} for r in runs],
         "stats": dataclasses.asdict(stats),
     }
     results = {"report": report, "runs": runs, "problem": problem}

@@ -258,6 +258,9 @@ _REGISTRY = {
         _CAMEL_ARG,
         "six-hump camel back",
     ),
+    # a Michalewicz-like variant, not the standard function: no leading minus
+    # and m = 1, so its minimum 0 sits at the box corner (0, 0) and any
+    # optimizer that clamps to the box solves it
     "f24": (_f24, 2, False, (0.0, math.pi), 0.0, (0.0, 0.0), "michalewicz"),
     "f25": (_f25, 2, False, (-10.0, 10.0), 0.0, (0.0, 0.0), "matyas"),
 }

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from ghosa import ExperimentConfig, RunStats, benchmark_function
+from ghosa import (
+    ExperimentConfig,
+    KnapsackProblem,
+    QapProblem,
+    RoadNetworkProblem,
+    RunStats,
+    TspProblem,
+    benchmark_function,
+)
 from ghosa.cli import entrypoint
+from ghosa.harness import KINDS, build_problem
 from ghosa.ingest import checksum_text
 
 
@@ -148,6 +157,44 @@ def test_parse_check_knapsack_bundle_and_road(capsys, tmp_path):
     assert "route 1->16" in out
 
 
+# one tiny instance per file-backed kind: its file text (None: the road fixture),
+# the adapter it builds and the exact optimum ``ghosa oracle`` prints
+KIND_CASES = {
+    "tsp": (
+        "NAME : square5\nTYPE : TSP\nDIMENSION : 5\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+        "NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 3 4\n4 0 4\n5 1 2\nEOF\n",
+        TspProblem, 14.0,
+    ),
+    "qap": ("3\n0 1 2\n1 0 1\n2 1 0\n0 2 1\n2 0 2\n1 2 0\n", QapProblem, 12.0),
+    "knapsack": (
+        "1\n4 2 0\n10 20 30 40\n1 2 3 4\n4 3 2 1\n5 5\n", KnapsackProblem, 50.0,
+    ),
+    "roadnet": (None, RoadNetworkProblem, 15.416389246958213),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_builds_solves_and_checks(capsys, tmp_path, kind):
+    if KINDS[kind].format is None:
+        for command in ("oracle", "parse-check"):
+            code, _, err = run_cli(capsys, command, "--problem", kind, "--instance", "f6")
+            assert code == 1
+            assert "take no instance file" in err
+        return
+    text, adapter, optimum = KIND_CASES[kind]
+    path = f"{FIXTURES}/grid4.road"
+    if text is not None:
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text)
+    assert type(build_problem(ExperimentConfig(problem=kind, instance=str(path)))) is adapter
+    code, out, _ = run_cli(capsys, "oracle", "--problem", kind, "--instance", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == f"optimum {optimum!r}"
+    code, out, _ = run_cli(capsys, "parse-check", "--problem", kind, "--instance", str(path))
+    assert code == 0
+    assert out.startswith(f"format {KINDS[kind].format}\n")
+
+
 def test_parse_check_surplus_matrix_exits_two(capsys, tmp_path):
     # six values under a DIMENSION 3 UPPER_ROW label, which takes three
     tsp = tmp_path / "surplus.tsp"
@@ -273,9 +320,9 @@ NON_NUMERIC = [
     ("GHOSA", "eps0=NaN", F6),
     ("GHOSA", "p_miss=NaN", F6),
     ("PSO", "inertia=NaN", F6),
-    ("GHOSA", "max_shift=Infinity", TSP),
+    ("GA", "tournament_size=Infinity", F6),
     ("GHOSA", "swarm_rate=true", F6),
-    ("GHOSA", "max_shift=true", TSP),
+    ("GA", "tournament_size=true", F6),
 ]
 
 

@@ -249,11 +249,6 @@ class TestOptimize:
         with pytest.raises(ConfigError):
             GhosaOptimizer(p_miss=0.9, p_catch=0.9, p_false=0.2).fit(prob)
 
-    def test_max_shift_validated(self, rng):
-        prob = TspProblem(random_tsp(rng, n=5))
-        with pytest.raises(ConfigError):
-            GhosaOptimizer(max_shift=0, iterations=1).fit(prob)
-
     def test_accept_if_better_never_worsens_agents(self, rng):
         # with worst-replacement off, every agent's fitness is monotone:
         # the same seed replays the same trajectory, so a longer run must
@@ -276,8 +271,7 @@ class TestBatchedDraws:
         [(TspProblem, random_tsp, 12), (QapProblem, random_qap, 8)],
         ids=["tsp-segment", "qap-whole"],
     )
-    @pytest.mark.parametrize("max_shift", [None, 2])
-    def test_rotation_segments_and_shifts(self, monkeypatch, rng, cls, make, n, max_shift):
+    def test_rotation_segments_and_shifts(self, monkeypatch, rng, cls, make, n):
         calls = []
 
         def recorded(x, starts, stops, shifts):
@@ -287,19 +281,17 @@ class TestBatchedDraws:
         monkeypatch.setattr(ghosa.engine, "rotate_segments", recorded)
         prob = cls(make(rng, n=n))
         GhosaOptimizer(
-            population_size=20, iterations=100, swarm_rate=1.0, max_shift=max_shift, seed=4
+            population_size=20, iterations=100, swarm_rate=1.0, seed=4
         ).fit(prob)
         start, stop, shift = (np.concatenate(a) for a in zip(*calls))
         assert len(shift) == 20 * 100
         assert np.all(0 <= start) and np.all(start + 2 <= stop) and np.all(stop <= n)
         assert np.all(1 <= shift) and np.all(shift <= stop - start - 1)
-        if max_shift is not None:
-            assert np.all(shift <= max_shift)
         if prob.rotation_scope == "whole":
             assert np.all(start == 0) and np.all(stop == n)
         else:
             assert set((stop - start).tolist()) == set(range(2, n + 1))
-        assert set(shift.tolist()) == set(range(1, (max_shift or n - 1) + 1))
+        assert set(shift.tolist()) == set(range(1, n))
 
     @pytest.mark.parametrize("n", [3, 100, 200])
     def test_categorical_draws_match_choice(self, n):

@@ -122,7 +122,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("algorithm,params", [
         ("PSO", {"swarm_rate": 0.5}),
         ("GA", {"inertia": 0.6}),
-        ("GHOSA", {"max_shift": 2}),  # discrete-only knob on a continuous run
+        ("GHOSA", {"tournament_size": 3}),  # a GA knob on a GHOSA run
         ("GHOSA", {"seed": 3}),  # the per-run seed comes from seed_base
     ])
     def test_params_the_optimizer_lacks_rejected(self, algorithm, params):
@@ -133,7 +133,7 @@ class TestExperimentConfig:
 
 # one non-default value per optimizer, so the check sees params applied
 SAMPLE_PARAMS = {
-    GhosaOptimizer: {"swarm_rate": 0.4, "max_shift": 3},
+    GhosaOptimizer: {"swarm_rate": 0.4, "window_fraction": 0.5},
     ContinuousGhosaOptimizer: {"eps0": 0.3, "window_fraction": 0.5},
     ParticleSwarmOptimizer: {"inertia": 0.6},
     GeneticAlgorithmOptimizer: {"mutation_rate": 0.2, "tournament_size": 3},

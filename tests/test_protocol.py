@@ -108,11 +108,10 @@ SURFACE = {
         "GhosaOptimizer(population_size=50, iterations=25000, replace_fraction=10.0, "
         "p_miss=0.3333333333333333, p_catch=0.3333333333333333, "
         "p_false=0.3333333333333333, window_fraction=0.25, swarm_rate=0.2, "
-        "max_shift=None, target=None, seed=None)",
+        "target=None, seed=None)",
         [("population_size", 50), ("iterations", 25000), ("replace_fraction", 10.0),
          ("p_miss", THIRD), ("p_catch", THIRD), ("p_false", THIRD),
-         ("window_fraction", 0.25), ("swarm_rate", 0.2), ("max_shift", None),
-         ("target", None), ("seed", None)],
+         ("window_fraction", 0.25), ("swarm_rate", 0.2), ("target", None), ("seed", None)],
     ),
     ContinuousGhosaOptimizer: (
         "ContinuousGhosaOptimizer(population_size=50, iterations=25000, "
