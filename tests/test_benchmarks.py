@@ -105,9 +105,11 @@ SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
     f"{fid}-{dim}" + (f"-window{w[0]}:{w[0] + w[1]}" if w else "")
     for fid, dim, w in SLOT_CASES])
 def test_placement_cost_scores_each_slot_without_noise(fid, dim, window):
-    # oracle: the nominal value of the row with that one slot overwritten;
+    # oracle: the nominal value of the row with that one slot overwritten,
+    # scored by a fresh instance that shares no cached terms with f;
     # every row scans its own window, in its own order, unless one is shared
     f = benchmark_function(fid, dim)
+    oracle = benchmark_function(fid, dim)
     rng = np.random.default_rng(21)
     x = f.initial_population(rng, 6)
     baits = rng.random(6)
@@ -125,7 +127,44 @@ def test_placement_cost_scores_each_slot_without_noise(fid, dim, window):
         for j, p in enumerate(positions[i]):
             trial = row.copy()
             trial[p] = lo[p] + baits[i] * (hi[p] - lo[p])
-            assert costs[i, j] == f.evaluate_batch(trial, rng=None)[0]
+            assert costs[i, j] == oracle.evaluate_batch(trial, rng=None)[0]
+
+
+def test_rastrigin_term_reuse_is_bit_identical_to_a_fresh_instance():
+    f = benchmark_function("f5", 30)
+    recomputed = []
+    terms = f.terms
+    f.terms = lambda x: recomputed.append(x.size) or terms(x)
+    rng = np.random.default_rng(17)
+    x = f.initial_population(rng, 50)
+    # placement-style trial columns: a copy of x with one slot per row overwritten
+    flat = rng.integers(0, 30, size=(50, 30)) + np.arange(0, x.size, 30)[:, None]
+    calls = []
+    for slot in flat.T:
+        trial = x.copy()
+        trial.put(slot, rng.uniform(-5.12, 5.12, 50))
+        calls.append(trial)
+    calls.append(f.initial_population(rng, 50))  # every entry changed
+    most = f.initial_population(rng, 50)  # all but the first and the last entry
+    most[0, 0], most[-1, -1] = calls[-1][0, 0], calls[-1][-1, -1]
+    calls.append(most)
+    calls += [f.initial_population(rng, n) for n in (50, 5, 1, 0, 0)]  # shape changes
+    plus, minus, nan = (x.copy() for _ in range(3))
+    plus[:, :3], minus[:, :3], nan[:5, 3] = 0.0, -0.0, np.nan
+    calls += [x, plus, minus, plus, nan, nan, x, np.asfortranarray(nan), x]
+    for rows in calls:
+        expected = benchmark_function("f5", 30).evaluate_batch(rows)
+        got = f.evaluate_batch(rows)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # a caller that updates its rows in place after a call, as PSO's x += v
+    rows = f.initial_population(rng, 50)
+    f.evaluate_batch(rows)
+    rows[:, 7] += 0.5
+    expected = benchmark_function("f5", 30).evaluate_batch(rows)
+    assert np.array_equal(f.evaluate_batch(rows).view(np.int64), expected.view(np.int64))
+    # after the first column, each recomputes at most two terms per row
+    assert max(recomputed[1:30]) <= 2 * 50
+    assert recomputed[-1] == 50
 
 
 def test_noisy_quartic_uses_seeded_generator():
@@ -142,8 +181,12 @@ def test_noisy_quartic_uses_seeded_generator():
 
 
 def test_out_of_bounds_rejected():
-    with pytest.raises(OutOfBounds):
-        eval_benchmark("f5", np.full(10, 6.0))
+    # NaN compares false both ways, so it must fail an "inside the box" test
+    for value in (6.0, np.nan):
+        with pytest.raises(OutOfBounds):
+            eval_benchmark("f5", np.full(10, value))
+        with pytest.raises(OutOfBounds):
+            eval_benchmark("f5", [0.0] * 9 + [value])
 
 
 def test_dimension_mismatch_rejected():
