@@ -32,9 +32,10 @@ class PopulationOptimizer:
     A subclass is a ``dataclass(eq=False, repr=False)`` whose fields are its
     remaining parameters.  It extends ``check_params`` and implements
     ``_run(problem, rng)``: a generator that scores rows only through
-    ``_score``, keeps its best solution as a fitted attribute (the GHOSA
-    engines keep their final population too), and yields the global best
-    fitness after each iteration.
+    ``_score`` (``self._score(problem.evaluate_batch, rows, rng=rng)``, the
+    scoring call every problem answers), keeps its best solution as a fitted
+    attribute (the GHOSA engines keep their final population too), and
+    yields the global best fitness after each iteration.
     ``fit`` runs ``check_params``, seeds ``rng`` from ``seed`` and takes at
     most ``iterations`` values, stopping as soon as one reaches ``target``
     in the problem's ``sense``.  The generator is never resumed after the
@@ -111,11 +112,8 @@ class PopulationOptimizer:
 
 @dataclass(eq=False, repr=False)
 class GhosaBase(PopulationOptimizer):
-    """Both GHOSA engines' shared parameters and the step that ends each iteration.
-
-    A subclass implements ``_fresh(problem, rng, count) -> (rows, fitness)``,
-    ``count`` scored rows from ``problem.initial_population``.
-    """
+    """Both GHOSA engines' shared parameters, their one way to draw scored rows,
+    and the step that ends each iteration."""
 
     replace_fraction: float = 10.0
     p_miss: float = 1.0 / 3.0
@@ -126,6 +124,11 @@ class GhosaBase(PopulationOptimizer):
         super().check_params()
         check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
         check_replace_fraction(self.replace_fraction)
+
+    def _fresh(self, problem, rng, count):
+        """``count`` rows from ``problem.initial_population`` and their fitness."""
+        rows = problem.initial_population(rng, count)
+        return rows, self._score(problem.evaluate_batch, rows, rng=rng)
 
     def _survive(self, problem, rng, rows, fitness, cand, cand_fitness, best, sign=1.0):
         """Greedy accept, then redraw the worst rows through ``_fresh``, in place.

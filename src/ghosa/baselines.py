@@ -42,7 +42,7 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
             check_positive(getattr(self, name), name, strict=False)
 
     def _run(self, problem, rng):
-        n, dim = self.population_size, problem.dim
+        n, dim = self.population_size, problem.dimension
 
         x = problem.initial_population(rng, n)
         v = np.zeros((n, dim))
@@ -95,7 +95,7 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
         check_int_at_least(self.tournament_size, 1, "tournament_size")
 
     def _run(self, problem, rng):
-        n, dim = self.population_size, problem.dim
+        n, dim = self.population_size, problem.dimension
         mrate = self.mutation_rate if self.mutation_rate is not None else 1.0 / dim
 
         x = problem.initial_population(rng, n)

@@ -60,13 +60,9 @@ class ContinuousGhosaOptimizer(GhosaBase):
         check_positive(self.eps0, "eps0")
         check_window_fraction(self.window_fraction)
 
-    def _fresh(self, problem, rng, count):
-        rows = problem.initial_population(rng, count)
-        return rows, self._score(problem.evaluate_batch, rows, rng=rng)
-
     def _run(self, problem, rng):
         case_cdf = categorical_cdf([self.p_miss, self.p_catch, self.p_false])
-        n_agents, dim = self.population_size, problem.dim
+        n_agents, dim = self.population_size, problem.dimension
 
         x, fitness = self._fresh(problem, rng, n_agents)
         d = np.zeros((n_agents, dim, 2))

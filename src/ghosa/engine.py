@@ -52,10 +52,6 @@ class GhosaOptimizer(GhosaBase):
         check_probability(self.swarm_rate, "swarm_rate")
         check_window_fraction(self.window_fraction)
 
-    def _fresh(self, problem, rng, count):
-        rows = problem.initial_population(rng, count)
-        return rows, self._score(problem.batch_fitness, rows)
-
     def _run(self, problem, rng):
         case_cdf = categorical_cdf([self.p_miss, self.p_catch, self.p_false])
         n = problem.dimension
@@ -75,7 +71,7 @@ class GhosaOptimizer(GhosaBase):
         while True:
             problem.prepare_iteration(rng)
             if problem.dynamic:
-                fitness = self._score(problem.batch_fitness, sequences)
+                fitness = self._score(problem.evaluate_batch, sequences, rng=rng)
 
             weights = 1.0 / (1.0 + bait_counts)
             bait_cdf = categorical_cdf(weights / weights.sum())
@@ -105,7 +101,7 @@ class GhosaOptimizer(GhosaBase):
             rotated[rotating] = rotate_segments(rotated[rotating], start, stop, shift)
             candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)
 
-            cand_fitness = self._score(problem.batch_fitness, candidates)
+            cand_fitness = self._score(problem.evaluate_batch, candidates, rng=rng)
             previous_best = best
             best, _ = self._survive(
                 problem, rng, sequences, fitness, candidates, cand_fitness, best, sign

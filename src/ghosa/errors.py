@@ -33,8 +33,8 @@ class ShiftOutOfRange(GhosaError, ValueError):
 
 # --- continuous-domain errors ----------------------------------------------
 
-class DimensionMismatch(GhosaError, ValueError):
-    """Vectors of different dimension where equal dimension is required."""
+class DimensionMismatch(InstanceError, ValueError):
+    """Vectors, or an instance file's records, of another dimension than required."""
 
 
 class DegenerateFitnessWarning(UserWarning):

@@ -320,11 +320,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunStats, dict]:
     }
     stats = aggregate_stats(
         [r["best_fitness"] for r in runs],
-        best_known=getattr(problem, "best_known", None),
+        best_known=problem.best_known,
         sense=problem.sense,
     )
     report = {
-        "problem": {**problem.describe(), "checksum": getattr(problem, "checksum", None)},
+        "problem": {
+            "name": problem.name,
+            "dimension": problem.dimension,
+            "sense": problem.sense,
+            "best_known": problem.best_known,
+            "checksum": getattr(problem, "checksum", None),
+        },
         "config": {**cfg.to_dict(), "params": params},
         "seeds": seeds,
         "runs": [{k: v for k, v in r.items() if k not in ("trace", "components")} for r in runs],

@@ -156,7 +156,7 @@ def parse_tsplib(text: str) -> TspInstance:
         raise DimensionMismatch(
             f"DIMENSION is {n} but {len(coord_lines)} coordinate lines found"
         )
-    coords = np.empty((n, 2))
+    coords, seen = np.empty((n, 2)), set()
     for line in coord_lines:
         parts = line.split()
         if len(parts) < 3:
@@ -166,8 +166,9 @@ def parse_tsplib(text: str) -> TspInstance:
             x, y = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise NonNumericToken(f"bad coordinate line {line!r}") from exc
-        if not 1 <= idx <= n:
-            raise DimensionMismatch(f"coordinate index {idx} outside 1..{n}")
+        if not 1 <= idx <= n or idx in seen:  # n lines, so a repeat leaves a city out
+            raise DimensionMismatch(f"coordinate index {idx} repeated or outside 1..{n}")
+        seen.add(idx)
         coords[idx - 1] = (x, y)
     return TspInstance(n=n, coords=coords, metric=metric, name=name)
 
@@ -298,8 +299,6 @@ def parse_roadnet(text: str) -> RoadNetwork:
         nodes = [int(t) for t in lines[0].split()]
     except ValueError as exc:
         raise NonNumericToken(f"bad node list {lines[0]!r}") from exc
-    if not nodes:
-        raise TruncatedSection("empty node list")
 
     trailer = lines[-1].split()
     if len(trailer) != 3:

@@ -98,11 +98,9 @@ def _f11(x):
     )
 
 
-def _f12(x, rng=None):
-    base = (np.arange(1, x.shape[1] + 1)[None, :] * x**4).sum(axis=1)
-    if rng is not None:
-        base = base + rng.random(x.shape[0])
-    return base
+def _f12(x):
+    # the noise of "noisy quartic" is drawn by ``BenchmarkFunction.evaluate_batch``
+    return (np.arange(1, x.shape[1] + 1)[None, :] * x**4).sum(axis=1)
 
 
 def _f13(x):
@@ -291,35 +289,36 @@ class BenchmarkFunction:
             raise ConfigError(f"{fid} needs a dimension >= 1, got {dim}")
         self.fid = fid
         self.name = f"{fid} ({label})"
-        self.dim = dim
+        self.dimension = dim
         # a single (min, max) pair or scalar minimizer applies to every variable
         self.bounds = np.array(np.broadcast_to(bounds, (dim, 2)), dtype=float)
         self.lo, self.hi = self.bounds.T.copy()
         self.span = self.hi - self.lo
         self.fn = fn
-        self.optimum = self.best_known = optimum
+        self.best_known = optimum
         self.optimizer = np.array(np.broadcast_to(optimizer, dim), dtype=float)
-        self.uses_rng = fid == "f12"
         # Rastrigin's terms (a cos each) cost more to recompute than to compare
         self.terms = _f5_terms if fid == "f5" else None
         self._last = (np.empty((0, 0)), None)  # input and terms of the last call
 
     def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` points drawn uniformly from the box, one per row."""
-        return rng.uniform(self.lo, self.hi, size=(count, self.dim))
+        return rng.uniform(self.lo, self.hi, size=(count, self.dimension))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Clamp the rows of ``x`` into the box in place and return ``x``."""
         return np.minimum(np.maximum(x, self.lo, out=x), self.hi, out=x)
 
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
+        """One value per row of ``x``.  f12 adds ``rng.random(len(x))`` when
+        ``rng`` is given; every other function ignores ``rng``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.dim:
+        if x.shape[1] != self.dimension:
             raise DimensionMismatch(
-                f"expected dimension {self.dim}, got {x.shape[1]}"
+                f"expected dimension {self.dimension}, got {x.shape[1]}"
             )
-        if self.uses_rng:
-            return self.fn(x, rng=rng)
+        if self.fid == "f12" and rng is not None:
+            return self.fn(x) + rng.random(len(x))
         if self.terms is None or not x.flags.c_contiguous:  # the sum follows the layout
             return self.fn(x)
         # Under half of the entries changed since the last call: recompute only
@@ -346,7 +345,7 @@ class BenchmarkFunction:
         by its own call, so Rastrigin recomputes two terms per row, not all.
         """
         values = self.lo[positions] + baits[:, None] * self.span[positions]
-        flat = positions + np.arange(0, x.size, self.dim)[:, None]
+        flat = positions + np.arange(0, x.size, self.dimension)[:, None]
         costs = np.empty(positions.shape)
         for j, (slot, value) in enumerate(zip(flat.T, values.T)):
             trial = x.copy()
@@ -356,14 +355,6 @@ class BenchmarkFunction:
 
     def evaluate(self, x, rng=None) -> float:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :], rng)[0])
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "dimension": self.dim,
-            "sense": self.sense,
-            "best_known": self.best_known,
-        }
 
 
 def benchmark_function(fid: str, dim: int | None = None) -> BenchmarkFunction:
@@ -379,8 +370,8 @@ def eval_benchmark(fid: str, x, rng=None) -> float:
     _, default_dim, scalable, _, _, _, _ = entry
     dim = len(x) if scalable else default_dim
     f = BenchmarkFunction(fid, dim)
-    if x.shape != (f.dim,):
-        raise DimensionMismatch(f"{fid} expects dimension {f.dim}, got {x.shape}")
+    if x.shape != (f.dimension,):
+        raise DimensionMismatch(f"{fid} expects dimension {f.dimension}, got {x.shape}")
     if not np.all((x >= f.lo) & (x <= f.hi)):  # NaN is inside no box
         raise OutOfBounds(f"point outside the declared range of {fid}")
     return f.evaluate(x, rng=rng)

@@ -8,9 +8,11 @@ import numpy as np
 class SequenceProblem:
     """Base adapter for problems encoded as event strings.
 
-    Subclasses must set ``dimension`` and implement ``batch_fitness``.  The
-    default encoding is a permutation of 1..dimension.  ``sense`` declares
-    whether fitness is minimized or maximized; the engine handles the sign.
+    Subclasses must set ``dimension`` and implement ``batch_fitness``;
+    optimizers score rows through ``evaluate_batch``, as they score a
+    ``BenchmarkFunction``.  The default encoding is a permutation of
+    1..dimension.  ``sense`` declares whether fitness is minimized or
+    maximized; the engine handles the sign.
     """
 
     dimension: int
@@ -30,8 +32,9 @@ class SequenceProblem:
     def batch_fitness(self, sequences: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def fitness(self, sequence) -> float:
-        return float(self.batch_fitness(np.asarray(sequence)[None, :])[0])
+    def evaluate_batch(self, rows: np.ndarray, rng=None) -> np.ndarray:
+        """One fitness per row; ``rng`` is unused, since scoring draws nothing."""
+        return self.batch_fitness(rows)
 
     def placement_cost(self, sequences, baits, positions) -> np.ndarray | None:
         """Change-of-position cost of each row's bait at each candidate slot.
@@ -48,11 +51,3 @@ class SequenceProblem:
 
     def prepare_iteration(self, rng: np.random.Generator) -> None:
         """Hook run once per engine iteration (e.g. re-drawn decode state)."""
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name or type(self).__name__,
-            "dimension": self.dimension,
-            "sense": self.sense,
-            "best_known": self.best_known,
-        }

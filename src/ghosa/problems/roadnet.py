@@ -48,6 +48,8 @@ class RoadNetwork:
         if self.source == self.destination:
             raise InstanceError("source and destination must differ")
         node_set = set(self.nodes)
+        if len(node_set) != len(self.nodes):
+            raise InstanceError("node list repeats a node id")
         for endpoint in (self.source, self.destination):
             if endpoint not in node_set:
                 raise UnknownNodeReference(f"endpoint {endpoint} not among nodes")

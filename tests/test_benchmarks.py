@@ -21,9 +21,9 @@ def test_value_at_stored_minimizer(fid):
     f = benchmark_function(fid)
     value = f.evaluate(f.optimizer)
     if fid in ("f13", "f14"):
-        assert value == pytest.approx(f.optimum, abs=1e-3 * max(1.0, abs(f.optimum)))
+        assert value == pytest.approx(f.best_known, abs=1e-3 * max(1.0, abs(f.best_known)))
     else:
-        assert value == pytest.approx(f.optimum, abs=1e-6)
+        assert value == pytest.approx(f.best_known, abs=1e-6)
 
 
 @pytest.mark.parametrize("fid", benchmark_ids())
@@ -57,7 +57,7 @@ def test_clamp_in_place_matches_clip_bit_for_bit(fid):
 def test_precise_optimum_near_published_value(fid):
     published, tol = PUBLISHED[fid]
     f = benchmark_function(fid)
-    assert abs(f.optimum - published) <= tol
+    assert abs(f.best_known - published) <= tol
 
 
 def test_sphere_at_origin():
@@ -79,18 +79,18 @@ def test_random_points_never_below_optimum(rng):
         if fid == "f12":
             continue  # noisy term shifts values upward only
         f = benchmark_function(fid)
-        x = rng.uniform(f.bounds[:, 0], f.bounds[:, 1], size=(200, f.dim))
-        assert np.all(f.evaluate_batch(x) >= f.optimum - 1e-9)
+        x = rng.uniform(f.bounds[:, 0], f.bounds[:, 1], size=(200, f.dimension))
+        assert np.all(f.evaluate_batch(x) >= f.best_known - 1e-9)
 
 
 @pytest.mark.parametrize("fid, dim", [("f6", None), ("f5", 30), ("f7", None)])
 def test_initial_population_is_uniform_in_the_box(fid, dim):
     f = benchmark_function(fid, dim)
     x = f.initial_population(np.random.default_rng(8), 40)
-    assert x.shape == (40, f.dim)
+    assert x.shape == (40, f.dimension)
     assert np.all((x >= f.bounds[:, 0]) & (x <= f.bounds[:, 1]))
     expected = np.random.default_rng(8).uniform(
-        f.bounds[:, 0], f.bounds[:, 1], size=(40, f.dim)
+        f.bounds[:, 0], f.bounds[:, 1], size=(40, f.dimension)
     )
     assert np.array_equal(x, expected)
 
@@ -114,7 +114,7 @@ def test_placement_cost_scores_each_slot_without_noise(fid, dim, window):
     x = f.initial_population(rng, 6)
     baits = rng.random(6)
     if window is None:
-        positions = np.array([rng.permutation(f.dim)[:4] for _ in range(6)])
+        positions = np.array([rng.permutation(f.dimension)[:4] for _ in range(6)])
     else:
         offset, width = window
         positions = np.broadcast_to(np.arange(offset, offset + width), (6, width))
@@ -192,6 +192,8 @@ def test_out_of_bounds_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         eval_benchmark("f6", [0.0, 0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+        benchmark_function("f6").evaluate_batch(np.zeros((4, 3)))
 
 
 def test_unknown_id_rejected():
@@ -206,7 +208,7 @@ def test_fixed_dimension_enforced():
 
 def test_scalable_dimension_honored():
     f = benchmark_function("f1", dim=3)
-    assert f.dim == 3
+    assert f.dimension == 3
     assert f.evaluate([1.0, 2.0, 2.0]) == pytest.approx(9.0)
 
 

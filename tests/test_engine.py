@@ -64,8 +64,7 @@ def record_calls(problem):
     ``rng=None``, are not kept: they never enter the population.
     """
     scored, values = [], []
-    name = "evaluate_batch" if hasattr(problem, "evaluate_batch") else "batch_fitness"
-    evaluate = getattr(problem, name)
+    evaluate = problem.evaluate_batch
 
     def recorded(rows, **kwargs):
         fitness = np.array(evaluate(rows, **kwargs), dtype=float)
@@ -74,7 +73,7 @@ def record_calls(problem):
             values.append(fitness)
         return fitness.copy()  # the engine updates its fitness in place
 
-    setattr(problem, name, recorded)
+    problem.evaluate_batch = recorded
     return scored, values
 
 
@@ -343,15 +342,14 @@ class TestEvaluationCount:
         # continuous change-of-position scores one trial block per window
         # slot; those rows are evaluations too
         prob = make(rng)
-        name = "evaluate_batch" if hasattr(prob, "evaluate_batch") else "batch_fitness"
-        evaluate = getattr(prob, name)
+        evaluate = prob.evaluate_batch
         scored = []
 
         def counted(rows, **kwargs):
             scored.append(len(rows))
             return evaluate(rows, **kwargs)
 
-        setattr(prob, name, counted)
+        prob.evaluate_batch = counted
         opt = cls(population_size=12, iterations=30, seed=3).fit(prob)
         assert opt.evaluations_ == sum(scored)
         # a second fit counts from zero

@@ -309,3 +309,94 @@ class TestChecksums:
         rec1 = load_instance(p, "TSPLIB")
         rec2 = load_instance(p, "TSPLIB")
         assert rec1.checksum == rec2.checksum == checksum_text(TSP_GOLDEN)
+
+
+#: the three points of a 3-city tour, with node 1 listed twice and node 2 never
+TSP_REPEATED_INDEX = (
+    "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n1 5 5\n3 1 1\n"
+)
+#: node 2 listed twice in the node list
+ROAD_REPEATED_NODE = "1 2 2 3\n1 2 1.0 0.0\n2 3 1.0 0.0\n1.0 1 3\n"
+
+PARSERS = {
+    "tsp": parse_tsplib,
+    "qap": parse_qaplib,
+    "knapsack": parse_orlib_mknap,
+    "roadnet": parse_roadnet,
+}
+
+# kind, malformed text, the error or warning it raises, and its message
+MALFORMED = {
+    "tsp-line-outside-header-syntax": (
+        "tsp", TSP_GOLDEN.replace("TYPE : TSP", "TYPE : TSP\nstray words"),
+        UserWarning, "unrecognized TSPLIB line",
+    ),
+    "tsp-dimension-word": (
+        "tsp", TSP_GOLDEN.replace("DIMENSION : 4", "DIMENSION : four"),
+        NonNumericToken, "bad DIMENSION",
+    ),
+    "tsp-weight-format": (
+        "tsp", "DIMENSION : 2\nEDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : FUNCTION\n",
+        UnsupportedEdgeWeightType, "EDGE_WEIGHT_FORMAT 'FUNCTION'",
+    ),
+    "tsp-short-coordinate-line": (
+        "tsp", TSP_GOLDEN.replace("2 1.0 0.0", "2 1.0"), ParseError, "bad coordinate line",
+    ),
+    "tsp-coordinate-word": (
+        "tsp", TSP_GOLDEN.replace("2 1.0 0.0", "2 1.0 zero"),
+        NonNumericToken, "bad coordinate line",
+    ),
+    "tsp-index-outside": (
+        "tsp", TSP_GOLDEN.replace("4 0.0 1.0", "5 0.0 1.0"),
+        DimensionMismatch, "index 5 repeated or outside 1..4",
+    ),
+    "tsp-repeated-index": (
+        "tsp", TSP_REPEATED_INDEX, DimensionMismatch, "index 1 repeated or outside 1..3",
+    ),
+    "qap-size-zero": ("qap", "0\n", ParseError, "matrix size must be >= 1"),
+    "knapsack-count-zero": ("knapsack", "0\n", ParseError, "problem count must be >= 1"),
+    "knapsack-no-items": ("knapsack", "1\n0 1 0\n", ParseError, "bad sizes n=0, m=1"),
+    "road-one-line": ("roadnet", "1 2\n", TruncatedSection, "a node list and a trailer"),
+    "road-node-word": ("roadnet", "1 x\n10 1 2\n", NonNumericToken, "bad node list"),
+    "road-short-trailer": (
+        "roadnet", ROAD_GOLDEN.replace("10 1 3", "10 1"), TruncatedSection, "trailer must be",
+    ),
+    "road-trailer-word": (
+        "roadnet", ROAD_GOLDEN.replace("10 1 3", "fast 1 3"), NonNumericToken, "bad trailer",
+    ),
+    "road-short-edge": (
+        "roadnet", ROAD_GOLDEN.replace("1 2 10 3", "1 2 10"), ParseError, "edge line must be",
+    ),
+    "road-edge-word": (
+        "roadnet", ROAD_GOLDEN.replace("1 2 10 3", "1 2 ten 3"),
+        NonNumericToken, "bad edge line",
+    ),
+    "road-repeated-node": ("roadnet", ROAD_REPEATED_NODE, InstanceError, "repeats a node id"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_is_rejected(case):
+    kind, text, expected, match = MALFORMED[case]
+    if issubclass(expected, Warning):
+        with pytest.warns(expected, match=match):
+            PARSERS[kind](text)
+    else:
+        with pytest.raises(expected, match=match):
+            PARSERS[kind](text)
+
+
+@pytest.mark.parametrize("case", ["tsp-repeated-index", "qap-size-zero", "road-repeated-node"])
+def test_parse_check_exits_two_on_malformed_input(case, tmp_path, capsys):
+    from ghosa.cli import entrypoint
+
+    kind, text, _, match = MALFORMED[case]
+    path = tmp_path / "malformed.txt"
+    path.write_text(text)
+    assert entrypoint(["parse-check", "--problem", kind, "--instance", str(path)]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_load_instance_rejects_an_unknown_format():
+    with pytest.raises(ParseError, match="unknown format 'XML'"):
+        load_instance("unread.xml", "XML")

@@ -33,6 +33,11 @@ from ghosa.problems.roadnet import INFEASIBLE_FITNESS, WALK_CACHE_ROWS
 from conftest import grid_roadnet, random_roadnet
 
 
+def score(problem, sequence) -> float:
+    """One sequence's fitness through the problem's scoring call."""
+    return float(problem.evaluate_batch(np.asarray(sequence)[None, :])[0])
+
+
 class TestTsp:
     def test_unit_square_perimeter(self, unit_square_tsp):
         assert tsp_tour_length(unit_square_tsp, [1, 2, 3, 4]) == pytest.approx(4.0)
@@ -202,7 +207,7 @@ class TestQap:
         for _ in range(25):
             seq = rng.permutation(8) + 1
             bait = int(rng.integers(1, 9))
-            base = prob.fitness(seq)
+            base = score(prob, seq)
             deltas = prob.placement_cost(
                 seq[None, :], np.array([bait]), np.arange(8)[None, :]
             )[0]
@@ -211,7 +216,7 @@ class TestQap:
                 swapped = seq.copy()
                 swapped[q] = swapped[p]
                 swapped[p] = bait
-                assert deltas[p] == pytest.approx(prob.fitness(swapped) - base)
+                assert deltas[p] == pytest.approx(score(prob, swapped) - base)
 
     def test_asymmetric_instances_use_interaction_estimate(self, rng):
         flow = rng.integers(0, 9, (4, 4))
@@ -250,7 +255,7 @@ class TestQap:
                         # exact cost change of the implied location swap
                         swapped = seqs[r].copy()
                         swapped[[p, q]] = swapped[[q, p]]
-                        expected = prob.fitness(swapped) - prob.fitness(seqs[r])
+                        expected = score(prob, swapped) - score(prob, seqs[r])
                     else:
                         expected = sum(
                             f[p, j] * d[b, loc[j]] + f[j, p] * d[loc[j], b]
@@ -323,7 +328,7 @@ class TestKnapsackProfit:
             explicit = max(
                 knapsack_profit(inst, knapsack_decode(perm, t)) for t in range(1, 9)
             )
-            assert prob.fitness(perm) == pytest.approx(explicit)
+            assert score(prob, perm) == pytest.approx(explicit)
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_fixed_policy_decodes_at_its_threshold(self, rng, k):
@@ -403,6 +408,12 @@ class TestRoadFitness:
     def test_velocity_must_be_positive(self):
         with pytest.raises(NonPositiveVelocity):
             RoadNetwork(nodes=[1, 2], edges={}, velocity=0.0, source=1, destination=2)
+
+    def test_repeated_node_id_rejected(self):
+        # a repeat would make a fourth priority slot for a three-node network
+        edges = {(1, 2): (1.0, 0.0), (2, 3): (1.0, 0.0)}
+        with pytest.raises(InstanceError, match="repeats a node id"):
+            RoadNetwork(nodes=[1, 2, 2, 3], edges=edges, velocity=1.0, source=1, destination=3)
 
 
 def reference_walk(net, sequence):
@@ -502,16 +513,16 @@ class TestRoadNetworkProblem:
         problem = RoadNetworkProblem(capped_toy)
         # node 2 has the top priority: 1 -> 2 -> 4 uses 4 > 3
         assert problem.decode([1, 4, 3, 2]) == [1, 2, 4]
-        assert problem.fitness([1, 4, 3, 2]) == INFEASIBLE_FITNESS
+        assert score(problem, [1, 4, 3, 2]) == INFEASIBLE_FITNESS
         # the direct arc uses 5 > 3
         assert problem.decode([1, 2, 3, 4]) == [1, 4]
-        assert problem.fitness([1, 2, 3, 4]) == INFEASIBLE_FITNESS
+        assert score(problem, [1, 2, 3, 4]) == INFEASIBLE_FITNESS
 
     def test_path_within_the_caps_scores_its_cost(self, capped_toy):
         problem = RoadNetworkProblem(capped_toy)
         # 1 -> 3 -> 4 uses 2 <= 3: travel 20/10 + 10/10, waiting 1 + 0
         assert problem.decode([1, 3, 4, 2]) == [1, 3, 4]
-        assert problem.fitness([1, 3, 4, 2]) == 4.0
+        assert score(problem, [1, 3, 4, 2]) == 4.0
         np.testing.assert_array_equal(
             problem.batch_fitness(np.array([[1, 3, 4, 2], [1, 4, 3, 2]])),
             [4.0, INFEASIBLE_FITNESS],

@@ -5,15 +5,19 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import random_knapsack, random_tsp
+from conftest import FIXTURES, random_knapsack, random_qap, random_roadnet, random_tsp
 from ghosa import (
     ContinuousGhosaOptimizer,
+    ExperimentConfig,
     GeneticAlgorithmOptimizer,
     GhosaOptimizer,
     KnapsackProblem,
     ParticleSwarmOptimizer,
+    QapProblem,
+    RoadNetworkProblem,
     TspProblem,
     benchmark_function,
+    run_experiment,
 )
 from ghosa.errors import ConfigError
 
@@ -151,3 +155,85 @@ def test_estimator_surface(cls):
     assert repr(cls()) == expected_repr
     keyword_only = [name for name, p in signature.items() if p.kind is p.KEYWORD_ONLY]
     assert keyword_only == ["target", "seed"]
+
+
+# --- the problem protocol every optimizer scores through ----------------------
+
+PROBLEMS = {
+    "tsp": lambda rng: TspProblem(random_tsp(rng, n=12)),
+    "qap": lambda rng: QapProblem(random_qap(rng, n=7)),
+    "knapsack": lambda rng: KnapsackProblem(random_knapsack(rng, m=2, n=15)),
+    "roadnet": lambda rng: RoadNetworkProblem(random_roadnet(rng), awt_noise=0.5),
+    "benchmark": lambda rng: benchmark_function("f12"),
+}
+DISCRETE = ["tsp", "qap", "knapsack", "roadnet"]
+
+
+@pytest.mark.parametrize("kind", list(PROBLEMS))
+def test_problem_sets_the_shared_attributes(kind, rng):
+    problem = PROBLEMS[kind](rng)
+    assert isinstance(problem.dimension, int) and problem.dimension >= 1
+    assert problem.sense in ("min", "max")
+    assert isinstance(problem.name, str) and problem.name
+    assert problem.best_known is None or isinstance(problem.best_known, (int, float))
+    rows = problem.initial_population(rng, 5)
+    assert rows.shape == (5, problem.dimension)
+
+
+@pytest.mark.parametrize("kind", DISCRETE)
+def test_discrete_evaluate_batch_is_batch_fitness_and_draws_nothing(kind, rng):
+    problem = PROBLEMS[kind](rng)
+    problem.prepare_iteration(rng)
+    rows = problem.initial_population(rng, 8)
+    state = rng.bit_generator.state
+    got = problem.evaluate_batch(rows, rng=rng)
+    assert rng.bit_generator.state == state
+    assert got.tobytes() == problem.batch_fitness(rows).tobytes()
+
+
+def test_f12_noise_is_one_draw_per_row_on_the_plain_quartic():
+    f = benchmark_function("f12")
+    x = f.initial_population(np.random.default_rng(5), 7)
+    quartic = (np.arange(1, f.dimension + 1) * x**4).sum(axis=1)
+    assert f.evaluate_batch(x).tobytes() == quartic.tobytes()
+    noisy = f.evaluate_batch(x, rng=np.random.default_rng(0))
+    assert noisy.tobytes() == (quartic + np.random.default_rng(0).random(len(x))).tobytes()
+
+
+QAP_TEXT = "3\n0 1 2\n1 0 1\n2 1 0\n0 2 1\n2 0 2\n1 2 0\n"
+KNAPSACK_TEXT = "1\n4 2 50\n10 20 30 40\n1 2 3 4\n4 3 2 1\n5 5\n"
+#: instance file (or function id) and the report's problem block of each kind
+REPORTED = {
+    "tsp": (f"{FIXTURES}/ulysses16.tsp", {
+        "name": "ulysses16", "dimension": 16, "sense": "min", "best_known": None,
+        "checksum": "92aece54a7fa484ce2e8ffbcdbc12dd3ac9391a551ccbf710a8462f926cfd68d",
+    }),
+    "qap": (QAP_TEXT, {
+        "name": "qap", "dimension": 3, "sense": "min", "best_known": None,
+        "checksum": "c00d9722b0e6e51780364ef38c72224d7195db0371d1efb97622312f0dde5484",
+    }),
+    "knapsack": (KNAPSACK_TEXT, {
+        "name": "knapsack-1", "dimension": 4, "sense": "max", "best_known": 50,
+        "checksum": "c6204a6e79cba0e0cabcb741fc13cc6182bda7ee65f5f43eaeb5162947ab483b",
+    }),
+    "roadnet": (f"{FIXTURES}/grid4.road", {
+        "name": "grid4", "dimension": 16, "sense": "min", "best_known": None,
+        "checksum": "647ab3ec703fac03911a991f5e100589fde93fbaf455063fe404e6bda630f610",
+    }),
+    "benchmark": ("f12", {
+        "name": "f12 (noisy quartic)", "dimension": 10, "sense": "min", "best_known": 0.0,
+        "checksum": None,
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", list(REPORTED))
+def test_report_problem_block(kind, tmp_path):
+    instance, expected = REPORTED[kind]
+    if "\n" in instance:
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(instance)
+        instance = str(path)
+    cfg = ExperimentConfig(kind, instance, runs=1, iterations=3, population=4)
+    block = run_experiment(cfg)[1]["report"]["problem"]
+    assert list(block.items()) == list(expected.items())
