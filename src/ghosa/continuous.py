@@ -3,7 +3,8 @@
 Agents are real vectors in a box.  Each iteration a candidate is built per
 agent by the discrete engine's operator kernels run on value strings (a
 fresh value baited by ``apply_cases`` into the window slot of lowest
-``problem.placement_cost``, whose nominal values count as evaluations;
+``problem.placement_cost``, whose nominal values count as evaluations and
+which scores the whole window in a few stacked trial blocks;
 occasional ``rotate_segments``), then shifted by the neighbor-influenced
 variation, clamped, evaluated, and passed to ``GhosaBase._survive`` as in the
 discrete engine; redrawn agents restart their d and eps.  All per-agent state

@@ -97,6 +97,10 @@ class CountMismatch(ParseError):
     pass
 
 
+class DuplicateEdge(ParseError):
+    """A road file lists the same directed edge twice."""
+
+
 class UnknownNodeReference(ParseError):
     pass
 

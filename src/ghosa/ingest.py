@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     CountMismatch,
     DimensionMismatch,
+    DuplicateEdge,
     MissingHeaderField,
     NonNumericToken,
     ParseError,
@@ -162,10 +163,13 @@ def parse_tsplib(text: str) -> TspInstance:
         if len(parts) < 3:
             raise ParseError(f"bad coordinate line {line!r}")
         try:
-            idx = int(float(parts[0]))
+            idx = float(parts[0])
             x, y = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise NonNumericToken(f"bad coordinate line {line!r}") from exc
+        if not idx.is_integer():  # 1 and 1.0 name city 1; 1.7 names none
+            raise NonNumericToken(f"coordinate index {parts[0]!r} is not a whole number")
+        idx = int(idx)
         if not 1 <= idx <= n or idx in seen:  # n lines, so a repeat leaves a city out
             raise DimensionMismatch(f"coordinate index {idx} repeated or outside 1..{n}")
         seen.add(idx)
@@ -321,6 +325,8 @@ def parse_roadnet(text: str) -> RoadNetwork:
             d, awt = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise NonNumericToken(f"bad edge line {line!r}") from exc
+        if (u, v) in edges:
+            raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
         edges[(u, v)] = (d, awt)
     return RoadNetwork(
         nodes=nodes,

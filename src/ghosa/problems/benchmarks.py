@@ -268,6 +268,12 @@ _REGISTRY = {
 }
 
 
+#: the most entries in one ``placement_cost`` trial block, 128 KiB of floats:
+#: glibc's default mmap threshold, below which a block and its terms come from
+#: the heap, not from fresh pages that fault in on every call
+TRIAL_BLOCK_ENTRIES = 1 << 14
+
+
 def benchmark_ids() -> list[str]:
     return list(_REGISTRY)
 
@@ -321,18 +327,22 @@ class BenchmarkFunction:
             return self.fn(x) + rng.random(len(x))
         if self.terms is None or not x.flags.c_contiguous:  # the sum follows the layout
             return self.fn(x)
-        # Under half of the entries changed since the last call: recompute only
-        # those terms.  Equal entries have equal terms (-0.0 and 0.0 too) and NaN
-        # never compares equal, so sums are bit-identical.  A changed first and
-        # last entry mean most changed (PSO, GA), so the compare is skipped.
+        # ``x`` stacks k >= 1 copies of the cached input and under half of its
+        # entries differ from them: recompute only those terms.  Equal entries have
+        # equal terms (-0.0 and 0.0 too) and NaN never compares equal, so sums
+        # are bit-identical.  A changed top-right and bottom-left entry mean most
+        # changed (PSO, GA), so the compare is skipped.  A ``placement_cost``
+        # block baits one slot per row, so it keeps one of the two unless row 0's
+        # bait sits in the last slot and the last row's in the first.
         last_x, terms = self._last
-        if x.size and last_x.shape == x.shape and (
-                last_x[0, 0] == x[0, 0] or last_x[-1, -1] == x[-1, -1]):
-            changed = last_x != x
-            if 2 * np.count_nonzero(changed) < x.size:
-                terms[changed] = self.terms(x[changed])
-                np.copyto(last_x, x)
-                return terms.sum(axis=1)
+        if last_x.size and x.size and len(x) % len(last_x) == 0 and (
+                last_x[0, -1] == x[0, -1] or last_x[-1, 0] == x[-1, 0]):
+            changed = np.flatnonzero(x.reshape(-1, *last_x.shape) != last_x)
+            if 2 * changed.size < x.size:
+                block = np.empty((len(x) // len(last_x),) + last_x.shape)
+                block[:] = terms  # the cache keeps its base for the next block
+                block.put(changed, self.terms(x.take(changed)))
+                return block.reshape(x.shape).sum(axis=1)
         self._last = (x.copy(), self.terms(x))  # callers edit their rows in place
         return self._last[1].sum(axis=1)
 
@@ -341,16 +351,28 @@ class BenchmarkFunction:
 
         Entry ``[i, j]`` scores row i with ``lo[p] + baits[i] * span[p]`` at slot
         ``p = positions[i, j]``.  Bait values and flat row-major indices are
-        built once; each window column is a copy of ``x`` with one ``put``, scored
-        by its own call, so Rastrigin recomputes two terms per row, not all.
+        built once.  Window columns are stacked into trial blocks of at most
+        ``TRIAL_BLOCK_ENTRIES`` entries (one whole column when a column is
+        larger): a block is copies of ``x``, one per column, with one ``put``,
+        scored by one ``evaluate_batch`` call.  Rastrigin's cache is primed with
+        the terms of ``x``, so each block recomputes only its baited terms.
         """
-        values = self.lo[positions] + baits[:, None] * self.span[positions]
-        flat = positions + np.arange(0, x.size, self.dimension)[:, None]
-        costs = np.empty(positions.shape)
-        for j, (slot, value) in enumerate(zip(flat.T, values.T)):
-            trial = x.copy()
-            trial.put(slot, value)
-            costs[:, j] = self.evaluate_batch(trial, rng=None)
+        n, width = positions.shape
+        values = (self.lo[positions] + baits[:, None] * self.span[positions]).T.ravel()
+        # index of column j's bait for row i in a stack of all the columns
+        flat = (positions.T + np.arange(0, x.size, self.dimension)
+                + np.arange(0, width * x.size, x.size)[:, None]).ravel()
+        step = max(1, TRIAL_BLOCK_ENTRIES // max(x.size, 1))
+        if self.terms is not None:
+            self._last = (x.copy(), self.terms(x))
+        costs = np.empty((n, width))
+        for start in range(0, width, step):
+            cols = min(step, width - start)
+            block = np.tile(x, (cols, 1))
+            rows = slice(start * n, (start + cols) * n)
+            block.put(flat[rows] - start * x.size, values[rows])
+            scores = self.evaluate_batch(block, rng=None)
+            costs[:, start:start + cols] = scores.reshape(cols, n).T
         return costs
 
     def evaluate(self, x, rng=None) -> float:

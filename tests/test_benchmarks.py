@@ -4,6 +4,7 @@ import pytest
 from ghosa import benchmark_function, eval_benchmark
 from ghosa.errors import ConfigError, DimensionMismatch, OutOfBounds
 from ghosa.problems import benchmark_ids
+from ghosa.problems.benchmarks import TRIAL_BLOCK_ENTRIES
 
 # published display values and how far the precise optima may sit from them
 PUBLISHED = {
@@ -98,7 +99,9 @@ def test_initial_population_is_uniform_in_the_box(fid, dim):
 SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
     ("f1", 30, None), ("f3", 30, None), ("f5", 30, None), ("f12", 30, None),
     # the engine's input: one read-only (offset, width) window for every row
-    ("f14", None, (1, 1)), ("f5", 30, (3, 25))]
+    ("f14", None, (1, 1)), ("f5", 30, (3, 25)),
+    # trial blocks of 45 and 15 columns, and one column that alone passes the cap
+    ("f5", 60, (0, 60)), ("f5", 3000, (0, 3))]
 
 
 @pytest.mark.parametrize("fid, dim, window", SLOT_CASES, ids=[
@@ -165,6 +168,26 @@ def test_rastrigin_term_reuse_is_bit_identical_to_a_fresh_instance():
     # after the first column, each recomputes at most two terms per row
     assert max(recomputed[1:30]) <= 2 * 50
     assert recomputed[-1] == 50
+
+
+@pytest.mark.parametrize("fid, dim", [("f5", 30), ("f5", 25), ("f5", 400), ("f1", 30)])
+def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
+    f = benchmark_function(fid, dim)
+    shapes, recomputed = [], []
+    evaluate, terms = f.evaluate_batch, f.terms
+    f.evaluate_batch = lambda rows, rng=None: shapes.append(rows.shape) or evaluate(rows, rng)
+    if terms is not None:
+        f.terms = lambda x: recomputed.append(x.size) or terms(x)
+    rng = np.random.default_rng(5)
+    positions = np.tile(np.arange(dim), (50, 1))  # the engine's whole-string window
+    for x in (f.initial_population(rng, 50), f.initial_population(rng, 50)):
+        shapes.clear()
+        recomputed.clear()
+        f.placement_cost(x, rng.random(50), positions)
+        assert sum(rows for rows, _ in shapes) == positions.size
+        assert max(rows * cols for rows, cols in shapes) <= max(TRIAL_BLOCK_ENTRIES, x.size)
+        # the terms of x once, then only the baited entries
+        assert sum(recomputed) <= x.size + positions.size
 
 
 def test_noisy_quartic_uses_seeded_generator():

@@ -7,6 +7,7 @@ import pytest
 from ghosa.errors import (
     CountMismatch,
     DimensionMismatch,
+    DuplicateEdge,
     InstanceError,
     MissingHeaderField,
     NonNumericToken,
@@ -71,6 +72,10 @@ class TestTsplib:
         assert inst.metric == "EUC_2D"
         assert inst.name == "square4"
         assert inst.coords[2].tolist() == [1.0, 1.0]
+
+    def test_whole_number_index_written_as_a_float(self):
+        inst = parse_tsplib(TSP_GOLDEN.replace("3 1.0 1.0", "3.0 1.0 1.0"))
+        assert np.array_equal(inst.coords, parse_tsplib(TSP_GOLDEN).coords)
 
     def test_round_trip(self):
         inst = parse_tsplib(TSP_GOLDEN)
@@ -317,6 +322,12 @@ TSP_REPEATED_INDEX = (
 )
 #: node 2 listed twice in the node list
 ROAD_REPEATED_NODE = "1 2 2 3\n1 2 1.0 0.0\n2 3 1.0 0.0\n1.0 1 3\n"
+#: edge 1 -> 2 listed twice, with other weights the second time
+ROAD_REPEATED_EDGE = "1 2\n1 2 5 1\n1 2 9 9\n1 1 2\n"
+#: indices 1.7 and 2.2, which truncate to cities 1 and 2
+TSP_FRACTIONAL_INDEX = (
+    "DIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1.7 0 0\n2.2 3 4\n"
+)
 
 PARSERS = {
     "tsp": parse_tsplib,
@@ -353,6 +364,9 @@ MALFORMED = {
     "tsp-repeated-index": (
         "tsp", TSP_REPEATED_INDEX, DimensionMismatch, "index 1 repeated or outside 1..3",
     ),
+    "tsp-fractional-index": (
+        "tsp", TSP_FRACTIONAL_INDEX, NonNumericToken, "index '1.7' is not a whole number",
+    ),
     "qap-size-zero": ("qap", "0\n", ParseError, "matrix size must be >= 1"),
     "knapsack-count-zero": ("knapsack", "0\n", ParseError, "problem count must be >= 1"),
     "knapsack-no-items": ("knapsack", "1\n0 1 0\n", ParseError, "bad sizes n=0, m=1"),
@@ -372,6 +386,7 @@ MALFORMED = {
         NonNumericToken, "bad edge line",
     ),
     "road-repeated-node": ("roadnet", ROAD_REPEATED_NODE, InstanceError, "repeats a node id"),
+    "road-repeated-edge": ("roadnet", ROAD_REPEATED_EDGE, DuplicateEdge, "listed twice"),
 }
 
 
@@ -386,7 +401,9 @@ def test_malformed_input_is_rejected(case):
             PARSERS[kind](text)
 
 
-@pytest.mark.parametrize("case", ["tsp-repeated-index", "qap-size-zero", "road-repeated-node"])
+@pytest.mark.parametrize("case", [
+    "tsp-repeated-index", "tsp-fractional-index", "qap-size-zero", "road-repeated-node",
+    "road-repeated-edge"])
 def test_parse_check_exits_two_on_malformed_input(case, tmp_path, capsys):
     from ghosa.cli import entrypoint
 
