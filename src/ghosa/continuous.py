@@ -1,15 +1,15 @@
 """Continuous-domain swarm engine: string operators plus the LBNIV move.
 
 Agents are real vectors in a box.  Each iteration a candidate is built per
-agent by the discrete engine's operator kernels run on value strings (a
-fresh value baited by ``apply_cases`` into the window slot of lowest
-``problem.placement_cost``, whose nominal values count as evaluations and
-which scores the whole window in a few stacked trial blocks;
-occasional ``rotate_segments``), then shifted by the neighbor-influenced
-variation, clamped, evaluated, and passed to ``GhosaBase._survive`` as in the
-discrete engine; redrawn agents restart their d and eps.  All per-agent state
-(direction d, step scale eps) is kept as stacked arrays so one iteration is
-a handful of numpy passes.
+agent by one gather of ``apply_value_cases``: a fresh value baited into the
+window slot of lowest ``problem.placement_cost`` (whose nominal values count
+as evaluations and which scores the whole window in a few stacked trial
+blocks), then an occasional rotation of the whole string.  The candidate is
+shifted by the neighbor-influenced variation, clamped, evaluated, and passed
+to ``GhosaBase._survive`` as in the discrete engine; redrawn agents restart
+their d and eps.  All per-agent state is kept as stacked arrays (direction d
+as (2, N, D), in the layout of the ring neighbours ``x[neighbours]``; step
+scale eps as (N, D)) so one iteration is a handful of numpy passes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .base import (
 )
 from .errors import ConfigError
 from .lbniv import lbniv_move_batch, update_d_batch, update_epsilon_batch
-from .operators import apply_cases, rotate_segments
+from .operators import apply_value_cases
 
 #: step scales beyond this are reset to eps0 (runaway growth guard)
 EPS_CAP = 1e12
@@ -66,7 +66,8 @@ class ContinuousGhosaOptimizer(GhosaBase):
         n_agents, dim = self.population_size, problem.dimension
 
         x, fitness = self._fresh(problem, rng, n_agents)
-        d = np.zeros((n_agents, dim, 2))
+        # d[0] follows the rear neighbour, d[1] the front one, as x[neighbours]
+        d = np.zeros((2, n_agents, dim))
         # one step scale per variable, shared by both neighbor terms
         eps = np.full((n_agents, dim), self.eps0)
         best = best_of(x, fitness)
@@ -75,6 +76,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
         window = np.tile(np.arange(window_len), (n_agents, 1))
         # rows of each agent's rear and front ring neighbour
         neighbours = (np.arange(n_agents) + np.array([[-1], [1]])) % n_agents
+        unrotated = np.zeros(n_agents, dtype=int)
 
         while True:
             cases = case_cdf.searchsorted(rng.random(n_agents), side="right")
@@ -87,28 +89,26 @@ class ContinuousGhosaOptimizer(GhosaBase):
             positions = offset + np.argmin(costs, axis=1)
             baits = problem.lo[positions] + bait_u * problem.span[positions]
 
-            cand = apply_cases(x, cases, positions, baits, permutation=False)
+            shifts = unrotated
             if dim >= 2 and np.any(rotate):
-                shifts = rng.integers(1, dim, size=n_agents)
-                idx = np.nonzero(rotate)[0]
-                cand[idx] = rotate_segments(cand[idx], 0, dim, shifts[idx])
+                shifts = rotate * rng.integers(1, dim, size=n_agents)
+            cand = apply_value_cases(x, cases, positions, baits, shifts)
 
-            rear, front = stacked = x[neighbours]
-            moved = lbniv_move_batch(cand, best[0], d, eps, rear, front, self.bias)
+            stacked = x[neighbours]
+            moved = lbniv_move_batch(cand, best[0], d, eps, stacked, self.bias)
 
-            # bound violations are judged on the pre-clamp move
+            # bound violations are judged on the pre-clamp move; eps is never
+            # negative, so the compare also catches NaN and inf
             eps = update_epsilon_batch(eps, moved, problem.bounds, self.k)
-            runaway = ~np.isfinite(eps) | (eps > EPS_CAP)
-            eps = np.where(runaway, self.eps0, eps)
+            eps[~(eps <= EPS_CAP)] = self.eps0
 
             problem.clamp(moved)
             cand_fitness = self._score(problem.evaluate_batch, moved, rng=rng)
 
-            # d[..., 0] follows the rear neighbour, d[..., 1] the front one
-            d = np.moveaxis(update_d_batch(cand_fitness, fitness, moved, stacked), 0, 2)
+            d = update_d_batch(cand_fitness, fitness, moved, stacked)
 
             best, worst = self._survive(problem, rng, x, fitness, moved, cand_fitness, best)
-            d[worst] = 0.0
+            d[:, worst] = 0.0
             eps[worst] = self.eps0
 
             self.best_x_, best_fitness = best

@@ -99,7 +99,7 @@ class GhosaOptimizer(GhosaBase):
             shift = rng.integers(1, stop - start, size=len(rotating))
             rotated = sequences.copy()
             rotated[rotating] = rotate_segments(rotated[rotating], start, stop, shift)
-            candidates = apply_cases(rotated, case_idx, positions, baits, permutation=True)
+            candidates = apply_cases(rotated, case_idx, positions, baits)
 
             cand_fitness = self._score(problem.evaluate_batch, candidates, rng=rng)
             previous_best = best

@@ -81,15 +81,14 @@ def update_epsilon(eps: float, x: float, bounds: tuple[float, float], k: float) 
 # --- vectorized forms used by the population engine --------------------------
 
 
-def lbniv_move_batch(x, best, d, eps, rear, front, bias: float) -> np.ndarray:
-    """lbniv_update over a population: ``x``, ``eps``, ``rear`` and ``front``
-    have shape (N, D), ``d`` shape (N, D, 2) and ``best`` shape (D,)."""
-    return (
-        x
-        + np.abs(best[None, :] - rear) * d[:, :, REAR] * eps
-        + np.abs(best[None, :] - front) * d[:, :, FRONT] * eps
-        + bias
-    )
+def lbniv_move_batch(x, best, d, eps, stacked, bias: float) -> np.ndarray:
+    """lbniv_update over a population: ``x`` and ``eps`` have shape (N, D),
+    ``best`` shape (D,), and ``d`` and ``stacked`` shape (2, N, D), the rear
+    (index 0) and front (index 1) neighbour terms stacked in that order."""
+    t = np.abs(best - stacked)
+    t *= d
+    t *= eps
+    return x + t[REAR] + t[FRONT] + bias
 
 
 def update_d_batch(
@@ -104,11 +103,10 @@ def update_d_batch(
     ``x_ref`` has shape (N, D), or (K, N, D) for K stacked references, and the
     result has its shape.  Degenerate previous fitness yields 0 rows.
     """
-    prev = fitness_prev[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = (prev - fitness[:, None]) / np.abs(prev)
-    delta = np.where(np.abs(prev) < FITNESS_GUARD, 0.0, delta)
-    delta = np.where(np.isfinite(delta), delta, 0.0)
+        delta = (fitness_prev - fitness) / np.abs(fitness_prev)
+    delta[(np.abs(fitness_prev) < FITNESS_GUARD) | ~np.isfinite(delta)] = 0.0
+    delta = delta[:, None]
     return np.where(x >= x_ref, delta, -delta)
 
 
@@ -118,4 +116,6 @@ def update_epsilon_batch(
     """update_epsilon over an (N, D) population against (D, 2) bounds."""
     above = x > bounds[None, :, 1]
     below = x < bounds[None, :, 0]
-    return np.where(above, eps / k, np.where(below, eps * k, eps))
+    with np.errstate(over="ignore"):  # the engine resets runaway step scales
+        grown = eps * k
+    return np.where(above, eps / k, np.where(below, grown, eps))

@@ -3,9 +3,11 @@
 A solution is an ordered string of discrete events (1..n for permutation
 encodings, node ids for path encodings).  The three baiting outcomes insert,
 swap, or displace a single event; attracting-prey-swarms cyclically rotates a
-segment under a fixed slot.  ``apply_cases`` and ``rotate_segments`` apply
-them row-wise to ``(agents, length)`` arrays for both engines; the scalar
-``baiting`` and ``attracting_prey_swarms`` are their one-row test oracles.
+segment under a fixed slot.  Row-wise kernels apply them to ``(agents,
+length)`` arrays: ``rotate_segments`` then ``apply_cases`` on permutation
+strings, and on value strings ``apply_value_cases``, which baits and then
+rotates in one gather.  The scalar ``baiting`` and ``attracting_prey_swarms``
+are their one-row test oracles.
 """
 
 from __future__ import annotations
@@ -110,26 +112,22 @@ def attracting_prey_swarms(
     return seq
 
 
-def apply_cases(x, cases, positions, baits, *, permutation: bool) -> np.ndarray:
-    """Apply one baiting outcome per row of ``x`` and return the new rows.
+def apply_cases(x, cases, positions, baits) -> np.ndarray:
+    """Apply one baiting outcome per row of permutation strings ``x``.
 
     ``cases`` codes each row's outcome: 0 miss catch, 1 catch, 2 false catch.
-    Row for row this is ``baiting``, except that on value strings miss catch
-    drops the last entry to keep the length.
+    Row for row this is ``baiting``.
     """
     n = x.shape[1]
     row_start = n * np.arange(len(x))
     miss, catch = cases == 0, cases == 1
-    if permutation:
-        slots = np.argmax(x == baits[:, None], axis=1)
-        src = np.where(miss, slots, positions)
-    else:
-        src = np.where(miss, n - 1, positions)
+    slots = np.argmax(x == baits[:, None], axis=1)
+    src = np.where(miss, slots, positions)
     dst = np.where(miss, positions, n - 1)
     src[catch] = dst[catch] = positions[catch]
     # miss and false catch move slot s to slot t: the slots in [lo, hi) take
     # the event ``step`` slots along, and t takes s's event; catch moves
-    # nothing here, then swaps or overwrites below
+    # nothing here, then swaps below
     forward = src < dst
     lo = np.where(forward, src, dst + 1)[:, None]
     hi = np.where(forward, dst, src + 1)[:, None]
@@ -139,14 +137,29 @@ def apply_cases(x, cases, positions, baits, *, permutation: bool) -> np.ndarray:
     index += step * ((lo <= cols) & (cols < hi))
     flat = index.reshape(-1)
     flat[row_start + dst] = row_start + src
-    if permutation:
-        at = row_start[catch]
-        flat[at + slots[catch]] = at + positions[catch]
-        flat[at + positions[catch]] = at + slots[catch]
-    out = x.reshape(-1).take(index)
-    if not permutation:
-        keep = cases != 2
-        out.reshape(-1)[row_start[keep] + positions[keep]] = baits[keep]
+    at = row_start[catch]
+    flat[at + slots[catch]] = at + positions[catch]
+    flat[at + positions[catch]] = at + slots[catch]
+    return x.reshape(-1).take(index)
+
+
+def apply_value_cases(x, cases, positions, baits, shifts) -> np.ndarray:
+    """Row for row ``baiting(..., permutation=False)`` cut to the string's
+    length, then ``attracting_prey_swarms`` of the whole row by its shift
+    (0: no rotation), in one gather."""
+    n_rows, n = x.shape
+    rows = np.arange(n_rows)
+    # column n holds each row's slot entry, which false catch moves to the end
+    wide = np.concatenate((x, x[rows, positions][:, None]), axis=1)
+    # output column j reads column k = j - shift (mod n) of the baited row,
+    # which reads k - 1 past the slot on miss, k, or k + 1 from the slot on
+    # false catch; column n - 1 then reads the extra column
+    k = (np.arange(n) - shifts[:, None]) % n
+    k += (cases - 1)[:, None] * (k >= (positions + (cases == 0))[:, None])
+    k += (n + 1) * rows[:, None]
+    out = wide.reshape(-1).take(k)
+    keep = cases != 2
+    out[rows[keep], (positions[keep] + shifts[keep]) % n] = baits[keep]
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 from ghosa import ContinuousGhosaOptimizer, benchmark_function
 from ghosa.errors import ConfigError
 from ghosa.lbniv import lbniv_move_batch, lbniv_update
-from ghosa.operators import apply_cases
+from ghosa.operators import apply_value_cases
 
 
 class TestContinuousEngine:
@@ -73,16 +73,16 @@ class TestVectorizedMoveMatchesPureOps:
         dim, n = 4, 6
         x = rng.normal(size=(n, dim))
         best = rng.normal(size=dim)
-        d = rng.normal(size=(n, dim, 2))
+        # d and the neighbours stacked as (2, N, D): rear first, then front
+        d = rng.normal(size=(2, n, dim))
         eps = rng.uniform(0.05, 0.5, size=(n, dim))
-        rear = np.roll(x, 1, axis=0)
-        front = np.roll(x, -1, axis=0)
+        rear, front = stacked = np.stack([np.roll(x, 1, axis=0), np.roll(x, -1, axis=0)])
 
-        moved = lbniv_move_batch(x, best, d, eps, rear, front, 0.001)
+        moved = lbniv_move_batch(x, best, d, eps, stacked, 0.001)
         assert moved.shape == (n, dim)
         for i in range(n):
             # the engine keeps one step scale per variable for both neighbors
-            expected = lbniv_update(x[i], d[i], eps[i], best, front[i], rear[i], 0.001)
+            expected = lbniv_update(x[i], d[:, i].T, eps[i], best, front[i], rear[i], 0.001)
             assert np.array_equal(moved[i], expected)
 
     def test_case_application_shapes(self, rng):
@@ -90,7 +90,7 @@ class TestVectorizedMoveMatchesPureOps:
         cases = np.array([0, 1, 2, 0, 1, 2])
         positions = np.array([1, 2, 0, 4, 0, 4])
         baits = rng.normal(size=6)
-        out = apply_cases(x, cases, positions, baits, permutation=False)
+        out = apply_value_cases(x, cases, positions, baits, np.zeros(6, dtype=int))
         assert out.shape == x.shape
         # catch: exact slot replacement
         assert out[1, 2] == baits[1]

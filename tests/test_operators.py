@@ -3,7 +3,7 @@ import pytest
 
 from ghosa import BaitingCase, attracting_prey_swarms, baiting
 from ghosa.errors import InvalidPosition, ShiftOutOfRange, UnknownEvent
-from ghosa.operators import apply_cases, rotate_segments
+from ghosa.operators import apply_cases, apply_value_cases, rotate_segments
 
 
 class TestBaiting:
@@ -110,7 +110,7 @@ class TestKernelsMatchScalarOracles:
         positions = rng.integers(0, n, rows)
         baits = rng.integers(1, n + 1, rows)
         before = x.copy()
-        out = apply_cases(x, cases, positions, baits, permutation=True)
+        out = apply_cases(x, cases, positions, baits)
         for i in range(rows):
             expected = baiting(
                 x[i], int(baits[i]), int(positions[i]), self.CASES[cases[i]], n_events=n
@@ -120,17 +120,27 @@ class TestKernelsMatchScalarOracles:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_value_rows_equal_baiting(self, n, rng):
-        # every case at the first, a middle and the last slot; on value
-        # strings miss catch inserts and drops the last entry
-        grid = [(case, pos) for case in range(3) for pos in sorted({0, n // 2, n - 1})]
-        cases, positions = (np.array(a) for a in zip(*grid))
+        # every case at the first, a middle and the last slot, each unrotated
+        # (shift 0) and rotated by 1 and n - 1; on value strings miss catch
+        # inserts and drops the last entry, then the whole string rotates
+        grid = [
+            (case, pos, shift)
+            for case in range(3)
+            for pos in sorted({0, n // 2, n - 1})
+            for shift in sorted({0, 1, n - 1} & set(range(n)))
+        ]
+        cases, positions, shifts = (np.array(a) for a in zip(*grid))
         x = rng.normal(size=(len(grid), n))
         baits = rng.normal(size=len(grid))
         before = x.copy()
-        out = apply_cases(x, cases, positions, baits, permutation=False)
-        for i, (case, pos) in enumerate(grid):
-            expected = baiting(x[i], baits[i], int(pos), self.CASES[case], permutation=False)
-            assert np.array_equal(out[i], expected[:n])
+        out = apply_value_cases(x, cases, positions, baits, shifts)
+        for i, (case, pos, shift) in enumerate(grid):
+            expected = baiting(
+                x[i], baits[i], int(pos), self.CASES[case], permutation=False
+            )[:n]
+            if shift:
+                expected = attracting_prey_swarms(expected, 0, int(shift))
+            assert np.array_equal(out[i], expected)
         assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("n", [2, 5, 12])
@@ -167,7 +177,7 @@ class TestKernelsMatchScalarOracles:
             expected = row.copy()
             expected[start:stop] = np.roll(row[start:stop], shift)
             assert got.tolist() == expected.tolist()
-        # the continuous engine rotates whole strings, one shift per row
+        # whole strings (rotation scope "whole"), one shift per row
         shifts = np.arange(1, n)
         values = rng.random((n - 1, n))
         out = rotate_segments(values, 0, n, shifts)

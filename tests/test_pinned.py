@@ -4,8 +4,9 @@ Replay tests compare two runs of the same code, so they cannot see a kernel
 rewrite that changes results.  These fits pin the best fitness (as
 ``float.hex``) and the sha256 of the trace and of the best row, as recorded
 at commit 8133004 (the windowed sphere at f2e3782, the PSO and GA fits at
-2574537, the Michalewicz fits at 3b16e89) with numpy 2.4 on x86-64.  A
-change that alters any scored value, draw or tie-break changes them.
+2574537, the Michalewicz fits at 3b16e89, the one-variable f15 fit at
+df43778) with numpy 2.4 on x86-64.  A change that alters any scored value,
+draw or tie-break changes them.
 
 One ulp of difference flips accept decisions, so every pinned fit but the
 Michalewicz ones scores with integer values or correctly rounded operations
@@ -60,18 +61,14 @@ def _grid4_noise():
 
 # name -> (problem factory, optimizer); TSP n=16 scans its whole string,
 # TSP n=60 scans a 15-slot window and rotates segments; the sphere at d=10
-# scans its whole string, at d=30 an 8-slot window; the odd GA population
+# scans its whole string, at d=30 an 8-slot window; f15 has one variable, so
+# its fit draws no rotation and scans a one-slot window; the odd GA population
 # leaves its last child unpaired in crossover
 CASES = {
     "tsp-ulysses16-geo": (
         _ulysses16, lambda: GhosaOptimizer(population_size=20, iterations=150, seed=5)),
     "tsp-euc60": (
         _euc60, lambda: GhosaOptimizer(population_size=30, iterations=150, seed=6)),
-    "pso-michalewicz-zero-bound": (
-        "0x0.0p+0",
-        "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
-        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
-    ),
     "qap12-symmetric": (
         lambda: QapProblem(random_qap(np.random.default_rng(12), n=12)),
         lambda: GhosaOptimizer(population_size=20, iterations=150, seed=7)),
@@ -98,6 +95,9 @@ CASES = {
         lambda: GeneticAlgorithmOptimizer(
             population_size=7, iterations=100, tournament_size=3, crossover_rate=0.5,
             mutation_rate=0.3, seed=14)),
+    "continuous-f15-d1": (
+        lambda: benchmark_function("f15"),
+        lambda: ContinuousGhosaOptimizer(population_size=20, iterations=100, seed=15)),
     "continuous-michalewicz-zero-bound": (
         lambda: benchmark_function("f24"),
         lambda: ContinuousGhosaOptimizer(population_size=20, iterations=100, seed=0)),
@@ -108,6 +108,11 @@ CASES = {
 
 # name -> (best_fitness_.hex(), sha256 of trace_, sha256 of the best row)
 PINNED = {
+    "continuous-f15-d1": (
+        "0x1.79ff84eb26aaap-6",
+        "703815919afe315f1dbf99ff8a35db52e392de5ec8be335b42a78ce91e92bd02",
+        "47f6da2fcaaa01bcf9a60be78fa8bc63dffef2ed3938890fa97f328ed4ec61fa",
+    ),
     "continuous-michalewicz-zero-bound": (
         "0x0.0p+0",
         "4915eea92a172632bb982485e9c8e4d05f7365dc4c78bcb2d64a02c5d93e9939",
