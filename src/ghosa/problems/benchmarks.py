@@ -99,8 +99,8 @@ def _f11(x):
 
 
 def _f12(x):
-    # the noise of "noisy quartic" is drawn by ``BenchmarkFunction.evaluate_batch``
-    return (np.arange(1, x.shape[1] + 1)[None, :] * x**4).sum(axis=1)
+    # noise is drawn by ``evaluate_batch``; squaring twice skips the pow of ``x**4``
+    return (np.arange(1, x.shape[1] + 1)[None, :] * np.square(np.square(x))).sum(axis=1)
 
 
 def _f13(x):
@@ -305,7 +305,7 @@ class BenchmarkFunction:
         self.optimizer = np.array(np.broadcast_to(optimizer, dim), dtype=float)
         # Rastrigin's terms (a cos each) cost more to recompute than to compare
         self.terms = _f5_terms if fid == "f5" else None
-        self._last = (np.empty((0, 0)), None)  # input and terms of the last call
+        self._scan = None  # (x, terms of x) while placement_cost scores its blocks
 
     def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` points drawn uniformly from the box, one per row."""
@@ -317,7 +317,8 @@ class BenchmarkFunction:
 
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
         """One value per row of ``x``.  f12 adds ``rng.random(len(x))`` when
-        ``rng`` is given; every other function ignores ``rng``."""
+        ``rng`` is given; every other function ignores ``rng``.  Rastrigin
+        reuses terms only inside a ``placement_cost`` scan."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dimension:
             raise DimensionMismatch(
@@ -325,26 +326,20 @@ class BenchmarkFunction:
             )
         if self.fid == "f12" and rng is not None:
             return self.fn(x) + rng.random(len(x))
-        if self.terms is None or not x.flags.c_contiguous:  # the sum follows the layout
+        if self._scan is None or not x.flags.c_contiguous:  # the sum follows the layout
             return self.fn(x)
-        # ``x`` stacks k >= 1 copies of the cached input and under half of its
-        # entries differ from them: recompute only those terms.  Equal entries have
-        # equal terms (-0.0 and 0.0 too) and NaN never compares equal, so sums
-        # are bit-identical.  A changed top-right and bottom-left entry mean most
-        # changed (PSO, GA), so the compare is skipped.  A ``placement_cost``
-        # block baits one slot per row, so it keeps one of the two unless row 0's
-        # bait sits in the last slot and the last row's in the first.
-        last_x, terms = self._last
-        if last_x.size and x.size and len(x) % len(last_x) == 0 and (
-                last_x[0, -1] == x[0, -1] or last_x[-1, 0] == x[-1, 0]):
-            changed = np.flatnonzero(x.reshape(-1, *last_x.shape) != last_x)
+        # a block of k >= 1 copies of the scanned rows recomputes only the terms of
+        # its changed entries, if under half changed: equal entries have equal terms
+        # (-0.0 and 0.0 too) and NaN never compares equal, so sums are bit-identical
+        base, terms = self._scan
+        if len(x) % len(base) == 0:
+            changed = np.flatnonzero(x.reshape(-1, *base.shape) != base)
             if 2 * changed.size < x.size:
-                block = np.empty((len(x) // len(last_x),) + last_x.shape)
-                block[:] = terms  # the cache keeps its base for the next block
+                block = np.empty((len(x) // len(base),) + base.shape)
+                block[:] = terms
                 block.put(changed, self.terms(x.take(changed)))
                 return block.reshape(x.shape).sum(axis=1)
-        self._last = (x.copy(), self.terms(x))  # callers edit their rows in place
-        return self._last[1].sum(axis=1)
+        return self.fn(x)
 
     def placement_cost(self, x, baits, positions) -> np.ndarray:
         """Nominal value of each row of ``x`` with its bait at each slot of ``positions``.
@@ -354,8 +349,8 @@ class BenchmarkFunction:
         built once.  Window columns are stacked into trial blocks of at most
         ``TRIAL_BLOCK_ENTRIES`` entries (one whole column when a column is
         larger): a block is copies of ``x``, one per column, with one ``put``,
-        scored by one ``evaluate_batch`` call.  Rastrigin's cache is primed with
-        the terms of ``x``, so each block recomputes only its baited terms.
+        scored by one ``evaluate_batch`` call.  Rastrigin's scan holds ``x`` and
+        its terms until it returns, so each block recomputes only its baited terms.
         """
         n, width = positions.shape
         values = (self.lo[positions] + baits[:, None] * self.span[positions]).T.ravel()
@@ -364,15 +359,18 @@ class BenchmarkFunction:
                 + np.arange(0, width * x.size, x.size)[:, None]).ravel()
         step = max(1, TRIAL_BLOCK_ENTRIES // max(x.size, 1))
         if self.terms is not None:
-            self._last = (x.copy(), self.terms(x))
+            self._scan = (x, self.terms(x))  # no copy: the scan never writes to x
         costs = np.empty((n, width))
-        for start in range(0, width, step):
-            cols = min(step, width - start)
-            block = np.tile(x, (cols, 1))
-            rows = slice(start * n, (start + cols) * n)
-            block.put(flat[rows] - start * x.size, values[rows])
-            scores = self.evaluate_batch(block, rng=None)
-            costs[:, start:start + cols] = scores.reshape(cols, n).T
+        try:
+            for start in range(0, width, step):
+                cols = min(step, width - start)
+                block = np.tile(x, (cols, 1))
+                rows = slice(start * n, (start + cols) * n)
+                block.put(flat[rows] - start * x.size, values[rows])
+                scores = self.evaluate_batch(block, rng=None)
+                costs[:, start:start + cols] = scores.reshape(cols, n).T
+        finally:
+            self._scan = None
         return costs
 
     def evaluate(self, x, rng=None) -> float:

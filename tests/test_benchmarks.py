@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from ghosa import benchmark_function, eval_benchmark
+from ghosa import ContinuousGhosaOptimizer, benchmark_function, eval_benchmark
 from ghosa.errors import ConfigError, DimensionMismatch, OutOfBounds
 from ghosa.problems import benchmark_ids
 from ghosa.problems.benchmarks import TRIAL_BLOCK_ENTRIES
@@ -165,9 +167,8 @@ def test_rastrigin_term_reuse_is_bit_identical_to_a_fresh_instance():
     rows[:, 7] += 0.5
     expected = benchmark_function("f5", 30).evaluate_batch(rows)
     assert np.array_equal(f.evaluate_batch(rows).view(np.int64), expected.view(np.int64))
-    # after the first column, each recomputes at most two terms per row
-    assert max(recomputed[1:30]) <= 2 * 50
-    assert recomputed[-1] == 50
+    # no call outside a placement_cost scan goes through the term reuse
+    assert recomputed == []
 
 
 @pytest.mark.parametrize("fid, dim", [("f5", 30), ("f5", 25), ("f5", 400), ("f1", 30)])
@@ -188,6 +189,36 @@ def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
         assert max(rows * cols for rows, cols in shapes) <= max(TRIAL_BLOCK_ENTRIES, x.size)
         # the terms of x once, then only the baited entries
         assert sum(recomputed) <= x.size + positions.size
+
+
+def test_rastrigin_problem_pickles_without_scan_state():
+    # the problem travels through the process pool: a fit, a scan that raises
+    # and the calls after it leave nothing of their rows on it
+    f = benchmark_function("f5", 30)
+    size = len(pickle.dumps(f))
+    ContinuousGhosaOptimizer(population_size=10, iterations=3, seed=0).fit(f)
+    assert len(pickle.dumps(f)) == size
+    terms, blocks = f.terms, []
+
+    def second_block_raises(x):
+        if x.ndim == 1:  # the changed entries of one trial block
+            blocks.append(x.size)
+            if len(blocks) == 2:
+                raise RuntimeError("second block")
+        return terms(x)
+
+    f.terms = second_block_raises
+    rng = np.random.default_rng(3)
+    x = f.initial_population(rng, 50)
+    with pytest.raises(RuntimeError, match="second block"):
+        f.placement_cost(x, rng.random(50), np.tile(np.arange(30), (50, 1)))
+    f.terms = terms
+    assert len(pickle.dumps(f)) == size
+    rows = x.copy()
+    rows[:, 4] = 0.5
+    expected = benchmark_function("f5", 30).evaluate_batch(rows)
+    assert np.array_equal(f.evaluate_batch(rows).view(np.int64), expected.view(np.int64))
+    assert len(pickle.dumps(f)) == size
 
 
 def test_noisy_quartic_uses_seeded_generator():
