@@ -247,7 +247,7 @@ def serialize_qaplib(inst: QapInstance) -> str:
 # --- OR-Library multi-constraint knapsack --------------------------------------
 
 
-def parse_orlib_mknap(text: str, name_prefix: str = "mknap") -> list[KnapsackInstance]:
+def parse_orlib_mknap(text: str) -> list[KnapsackInstance]:
     """OR-Library bundle: problem count, then per problem
     ``n m optimum``, n profits, m rows of n weights, m capacities."""
     toks = _Tokens(text)
@@ -274,7 +274,7 @@ def parse_orlib_mknap(text: str, name_prefix: str = "mknap") -> list[KnapsackIns
                 weight=weight,
                 capacity=capacity,
                 best_known=int(optimum) if optimum > 0 else None,
-                name=f"{name_prefix}{p + 1}",
+                name=f"mknap{p + 1}",
             )
         )
     toks.warn_trailing("knapsack input")

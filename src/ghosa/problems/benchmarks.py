@@ -317,8 +317,8 @@ class BenchmarkFunction:
 
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
         """One value per row of ``x``.  f12 adds ``rng.random(len(x))`` when
-        ``rng`` is given; every other function ignores ``rng``.  Rastrigin
-        reuses terms only inside a ``placement_cost`` scan."""
+        ``rng`` is given; every other function ignores ``rng``.  A Rastrigin scan
+        block recomputes only the terms of entries that differ from the scan's rows."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dimension:
             raise DimensionMismatch(
@@ -326,38 +326,37 @@ class BenchmarkFunction:
             )
         if self.fid == "f12" and rng is not None:
             return self.fn(x) + rng.random(len(x))
-        if self._scan is None or not x.flags.c_contiguous:  # the sum follows the layout
+        if self._scan is None:
             return self.fn(x)
-        # a block of k >= 1 copies of the scanned rows recomputes only the terms of
-        # its changed entries, if under half changed: equal entries have equal terms
-        # (-0.0 and 0.0 too) and NaN never compares equal, so sums are bit-identical
+        # a scan block is copies of the scanned rows, so only the entries that differ
+        # get fresh terms: equal entries have equal terms (-0.0 and 0.0 too) and NaN
+        # never compares equal, so the row sums are bit-identical to fn's
         base, terms = self._scan
-        if len(x) % len(base) == 0:
-            changed = np.flatnonzero(x.reshape(-1, *base.shape) != base)
-            if 2 * changed.size < x.size:
-                block = np.empty((len(x) // len(base),) + base.shape)
-                block[:] = terms
-                block.put(changed, self.terms(x.take(changed)))
-                return block.reshape(x.shape).sum(axis=1)
-        return self.fn(x)
+        changed = np.flatnonzero(x.reshape(-1, *base.shape) != base)
+        block = np.empty((len(x) // len(base),) + base.shape)
+        block[:] = terms
+        block.put(changed, self.terms(x.take(changed)))
+        return block.reshape(x.shape).sum(axis=1)
 
     def placement_cost(self, x, baits, positions) -> np.ndarray:
         """Nominal value of each row of ``x`` with its bait at each slot of ``positions``.
 
         Entry ``[i, j]`` scores row i with ``lo[p] + baits[i] * span[p]`` at slot
-        ``p = positions[i, j]``.  Bait values and flat row-major indices are
-        built once.  Window columns are stacked into trial blocks of at most
-        ``TRIAL_BLOCK_ENTRIES`` entries (one whole column when a column is
-        larger): a block is copies of ``x``, one per column, with one ``put``,
-        scored by one ``evaluate_batch`` call.  Rastrigin's scan holds ``x`` and
-        its terms until it returns, so each block recomputes only its baited terms.
+        ``p = positions[i, j]``; zero rows give a ``(0, width)`` array.  Window
+        columns are stacked into trial blocks of at most ``TRIAL_BLOCK_ENTRIES``
+        entries (one whole column when a column is larger): a block is copies of
+        ``x``, one per column, with one ``put``, scored by one ``evaluate_batch``
+        call.  Rastrigin's scan holds ``x`` and its terms until it returns, so
+        each block recomputes only its baited terms.
         """
         n, width = positions.shape
+        if not x.size:
+            return np.empty((0, width))
         values = (self.lo[positions] + baits[:, None] * self.span[positions]).T.ravel()
         # index of column j's bait for row i in a stack of all the columns
         flat = (positions.T + np.arange(0, x.size, self.dimension)
                 + np.arange(0, width * x.size, x.size)[:, None]).ravel()
-        step = max(1, TRIAL_BLOCK_ENTRIES // max(x.size, 1))
+        step = max(1, TRIAL_BLOCK_ENTRIES // x.size)
         if self.terms is not None:
             self._scan = (x, self.terms(x))  # no copy: the scan never writes to x
         costs = np.empty((n, width))

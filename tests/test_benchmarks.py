@@ -100,6 +100,8 @@ def test_initial_population_is_uniform_in_the_box(fid, dim):
 
 SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
     ("f1", 30, None), ("f3", 30, None), ("f5", 30, None), ("f12", 30, None),
+    # scans whose blocks change every entry (d=1) or up to half of them (d=2)
+    ("f5", 1, None), ("f5", 2, None),
     # the engine's input: one read-only (offset, width) window for every row
     ("f14", None, (1, 1)), ("f5", 30, (3, 25)),
     # trial blocks of 45 and 15 columns, and one column that alone passes the cap
@@ -171,7 +173,8 @@ def test_rastrigin_term_reuse_is_bit_identical_to_a_fresh_instance():
     assert recomputed == []
 
 
-@pytest.mark.parametrize("fid, dim", [("f5", 30), ("f5", 25), ("f5", 400), ("f1", 30)])
+@pytest.mark.parametrize("fid, dim", [
+    ("f5", 30), ("f5", 25), ("f5", 400), ("f1", 30), ("f5", 1), ("f5", 2)])
 def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
     f = benchmark_function(fid, dim)
     shapes, recomputed = [], []
@@ -189,6 +192,14 @@ def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
         assert max(rows * cols for rows, cols in shapes) <= max(TRIAL_BLOCK_ENTRIES, x.size)
         # the terms of x once, then only the baited entries
         assert sum(recomputed) <= x.size + positions.size
+
+
+@pytest.mark.parametrize("fid", ["f5", "f1"])  # with and without a term scan
+def test_placement_cost_of_zero_rows_is_empty(fid):
+    f = benchmark_function(fid, 30)
+    costs = f.placement_cost(
+        np.empty((0, 30)), np.empty(0), np.empty((0, 4), dtype=int))
+    assert costs.shape == (0, 4)
 
 
 def test_rastrigin_problem_pickles_without_scan_state():
