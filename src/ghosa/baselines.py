@@ -5,9 +5,10 @@ Both are deliberately canonical: PSO with constriction-style constants
 tournaments, blend crossover, per-gene Gaussian mutation at rate 1/D, and
 one elite.  Positions always stay inside the box.
 
-Each iteration updates its arrays in place, but draws what it always drew, in
-the same order and shape, and keeps the term order of the velocity and blend
-updates: that order is part of every seeded result, so a rewrite must keep it.
+Each iteration updates its arrays in place and keeps the term order of the
+velocity and blend updates.  GA draws one mutation normal per mutated gene, in
+row-major order.  Draw order and term order are part of every seeded result,
+so a rewrite must keep them.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
         x = problem.initial_population(rng, n)
         fit = self._score(problem.evaluate_batch, x, rng=rng)
         gbest_x, gbest_f = best_of(x, fit)
-        draws, noise = np.empty((2, n, dim))
+        draws = np.empty((n, dim))
 
         while True:
             # tournament selection of n parents
@@ -118,11 +119,10 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
             np.copyto(pair_a, mixed_a, where=do_cx[:, None])
             np.copyto(pair_b, mixed_b, where=do_cx[:, None])
 
-            # per-gene Gaussian mutation
-            mutate = rng.random(out=draws) < mrate
-            np.multiply(rng.standard_normal(out=noise), self.mutation_scale, out=noise)
-            noise *= problem.span
-            np.add(children, noise, out=children, where=mutate)
+            # per-gene Gaussian mutation: one normal per mutated gene, by flat index
+            genes = np.flatnonzero(rng.random(out=draws) < mrate)
+            steps = rng.standard_normal(genes.size) * self.mutation_scale
+            children.put(genes, children.take(genes) + steps * problem.span[genes % dim])
             problem.clamp(children)
 
             child_fit = self._score(problem.evaluate_batch, children, rng=rng)

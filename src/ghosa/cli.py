@@ -69,7 +69,8 @@ def _parse_params(pairs) -> dict:
 @click.option("--threshold-policy", default=_DEFAULT["threshold_policy"], show_default=True,
               help="Knapsack decode policy: sweep, random, or fixed:K.")
 @click.option("--awt-noise", default=_DEFAULT["awt_noise"], show_default=True,
-              help="Roadnet traffic: waiting times x (1 + AWT_NOISE*U(-1, 1)) per iteration.")
+              help="Roadnet traffic, in [0, 1]: waiting times x (1 + AWT_NOISE*U(-1, 1)) "
+                   "per iteration.")
 @click.option("--metric-override", default=_DEFAULT["metric_override"],
               help="Force a TSP metric (e.g. 'euclid' for raw coordinates).")
 @click.option("--dim", default=_DEFAULT["dim"], type=int,

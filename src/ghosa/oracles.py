@@ -34,8 +34,6 @@ def brute_force_tsp(inst: TspInstance, max_n: int = 10) -> OracleResult:
     if n > max_n:
         raise TooLarge(f"exhaustive TSP limited to n <= {max_n}, got {n}")
     d = inst.distance_matrix()
-    if n == 1:
-        return OracleResult(0.0, np.array([1]), 1)
     best_len = np.inf
     best_tour = None
     explored = 0

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..base import check_positive
 from ..errors import (
+    ConfigError,
     DisconnectedPath,
     InstanceError,
     NonPositiveVelocity,
@@ -105,7 +106,7 @@ class RoadNetworkProblem(SequenceProblem):
     greedily from the source to the unvisited neighbor of highest priority.
     Any simple path is reachable under some priority assignment, so the
     permutation operators search the full path space while dead ends simply
-    score as infeasible.  ``awt_noise`` adds per-iteration multiplicative
+    score as infeasible.  ``awt_noise`` in [0, 1] adds per-iteration multiplicative
     jitter to waiting times to model surrounding traffic (off by default).
 
     The walk runs on node indices and edge ids (positions in ``node_ids`` and
@@ -124,6 +125,9 @@ class RoadNetworkProblem(SequenceProblem):
     def __init__(self, network: RoadNetwork, awt_noise: float = 0.0):
         self.network = network
         self.awt_noise = check_positive(awt_noise, "awt_noise", strict=False)
+        if self.awt_noise > 1.0:
+            # the factor 1 + awt_noise * U(-1, 1) would turn waiting times negative
+            raise ConfigError(f"awt_noise must be <= 1, got {self.awt_noise}")
         self.dynamic = self.awt_noise > 0.0
         self.node_ids = sorted(network.nodes)
         index = {node: i for i, node in enumerate(self.node_ids)}

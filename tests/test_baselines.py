@@ -119,6 +119,41 @@ class TestGa:
         assert np.all(opt.best_x_ >= f.bounds[:, 0])
         assert np.all(opt.best_x_ <= f.bounds[:, 1])
 
+    @pytest.mark.parametrize("rate", [0.0, None, 1.0])
+    def test_one_iteration_draws_one_normal_per_mutated_gene(self, monkeypatch, rate):
+        # the mutation mask is the one ``random`` call that fills an (N, D)
+        # buffer; at rate 0 no normal is drawn, at rate 1 one for every gene
+        n, dim = 7, 30
+        masks, normals = [], []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def random(self, *args, out=None, **kwargs):
+                drawn = self._rng.random(*args, out=out, **kwargs)
+                if out is not None:
+                    masks.append(drawn < (1.0 / dim if rate is None else rate))
+                return drawn
+
+            def standard_normal(self, *args, **kwargs):
+                drawn = self._rng.standard_normal(*args, **kwargs)
+                normals.append(np.size(drawn))
+                return drawn
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        GeneticAlgorithmOptimizer(
+            population_size=n, iterations=1, mutation_rate=rate, seed=3,
+        ).fit(benchmark_function("f1", dim=dim))
+        assert len(masks) == 1 and masks[0].shape == (n, dim)
+        assert sum(normals) == masks[0].sum()
+        if rate is not None:
+            assert sum(normals) == rate * n * dim
+
     def test_seeded_determinism(self):
         f = benchmark_function("f22")
         a = GeneticAlgorithmOptimizer(population_size=10, iterations=80, seed=5).fit(f)

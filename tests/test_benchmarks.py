@@ -264,6 +264,8 @@ def test_dimension_mismatch_rejected():
 def test_unknown_id_rejected():
     with pytest.raises(ConfigError):
         benchmark_function("f99")
+    with pytest.raises(ConfigError, match="unknown benchmark id"):
+        eval_benchmark("f99", [0.0])
 
 
 def test_fixed_dimension_enforced():

@@ -253,6 +253,7 @@ def test_options_the_kind_ignores_exit_one(capsys, tmp_path):
 @pytest.mark.parametrize("problem, instance, noise, expected", [
     ("roadnet", "grid4.road", "0.5", 0),
     ("roadnet", "grid4.road", "-0.5", 1),
+    ("roadnet", "grid4.road", "1.5", 1),
     ("tsp", "ulysses16.tsp", "0.5", 1),
 ])
 def test_awt_noise_option(capsys, problem, instance, noise, expected):

@@ -17,7 +17,7 @@ from ghosa import (
     qap_cost,
     run_experiment,
 )
-from ghosa.errors import ConfigError, EmptyInput
+from ghosa.errors import ConfigError, EmptyInput, IoFailure
 from ghosa.harness import (
     PROBLEM_KINDS,
     SHARED_PARAMS,
@@ -84,6 +84,8 @@ class TestExperimentConfig:
             ExperimentConfig(problem="benchmark", runs=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="tsp", algorithm="PSO")
+        with pytest.raises(ConfigError, match="format must be csv or json"):
+            ExperimentConfig(problem="benchmark", format="xml")
 
     @pytest.mark.parametrize("field,value", [
         ("runs", 2.5), ("runs", "3"), ("workers", 1.5),
@@ -337,6 +339,27 @@ class TestExport:
         # a benchmark function reads no file, so it records no checksum
         assert data["problem"]["checksum"] is None
 
+    def test_json_writes_numpy_values_as_plain_numbers(self, tmp_path):
+        out = tmp_path / "np"
+        cfg = ExperimentConfig(
+            problem="benchmark", instance="f18", algorithm="GA", runs=1, iterations=5,
+            population=6, params={"tournament_size": np.int64(3)}, out=str(out),
+            format="json",
+        )
+        run_experiment(cfg)
+        data = json.loads(out.with_suffix(".json").read_text())
+        assert data["config"]["params"]["tournament_size"] == 3
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps({"x": object()}, default=harness._jsonify)
+
+    def test_unwritable_out_is_an_io_failure(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = ExperimentConfig(problem="benchmark", instance="f18", runs=1, iterations=5,
+                               population=6, out=str(blocker / "exp"))
+        with pytest.raises(IoFailure, match="failed writing report files"):
+            run_experiment(cfg)
+
     def test_json_records_instance_checksum(self, tmp_path, ulysses16_path):
         out = tmp_path / "tsp"
         cfg = ExperimentConfig(
@@ -350,6 +373,14 @@ class TestExport:
 
 
 class TestBuildProblem:
+    @pytest.mark.parametrize("problem, match", [
+        ("benchmark", "need a function id"),
+        ("tsp", "need an instance path"),
+    ])
+    def test_missing_instance_is_a_config_error(self, problem, match):
+        with pytest.raises(ConfigError, match=match):
+            build_problem(ExperimentConfig(problem=problem))
+
     def test_knapsack_bundle_index(self, tmp_path, rng):
         insts = [random_knapsack(rng, m=2, n=6), random_knapsack(rng, m=2, n=7)]
         path = tmp_path / "bundle.mknap"

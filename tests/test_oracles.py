@@ -16,6 +16,12 @@ from ghosa.oracles import (
 
 
 class TestBruteForceTsp:
+    def test_one_city_tour_is_empty(self, rng):
+        result = brute_force_tsp(random_tsp(rng, n=1))
+        assert result.optimum == 0.0 and isinstance(result.optimum, float)
+        assert result.optimizer.tolist() == [1]
+        assert result.nodes_explored == 1
+
     def test_three_cities_any_tour_is_perimeter(self, rng):
         inst = random_tsp(rng, n=3)
         result = brute_force_tsp(inst)
@@ -104,6 +110,14 @@ class TestExactKnapsack:
         with pytest.raises(TooLarge):
             exact_knapsack(inst, max_n=10)
 
+    @pytest.mark.parametrize("weight, capacity", [(2.5, 40), (2, 40.5)])
+    def test_fractional_single_constraint_too_large(self, weight, capacity):
+        inst = KnapsackInstance(
+            m=1, n=12, profit=np.ones(12), weight=np.full((1, 12), weight), capacity=[capacity]
+        )
+        with pytest.raises(TooLarge, match="integer weights"):
+            exact_knapsack(inst, max_n=10)
+
 
 class TestExactShortestPaths:
     def test_single_edge(self):
@@ -134,6 +148,9 @@ class TestExactShortestPaths:
         )
         with pytest.raises(Disconnected):
             exact_shortest_paths(net)
+        # beyond max_nodes_exhaustive the label-setting search runs instead
+        with pytest.raises(Disconnected):
+            exact_shortest_paths(net, max_nodes_exhaustive=2)
 
     def test_resource_caps_prune_cheap_path(self, toy_roadnet):
         capped = RoadNetwork(
@@ -147,6 +164,9 @@ class TestExactShortestPaths:
         )
         result = exact_shortest_paths(capped)
         assert result.optimizer != [1, 3, 4]
+        # the label-setting search cannot honour caps
+        with pytest.raises(TooLarge, match="resource caps"):
+            exact_shortest_paths(capped, max_nodes_exhaustive=3)
 
 
 class TestOracleCache:

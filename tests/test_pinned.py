@@ -3,10 +3,11 @@
 Replay tests compare two runs of the same code, so they cannot see a kernel
 rewrite that changes results.  These fits pin the best fitness (as
 ``float.hex``) and the sha256 of the trace and of the best row, as recorded
-at commit 8133004 (the windowed sphere at f2e3782, the PSO and GA fits at
-2574537, the Michalewicz fits at 3b16e89, the one-variable f15 fit at
-df43778) with numpy 2.4 on x86-64.  A change that alters any scored value,
-draw or tie-break changes them.
+at commit 8133004 (the windowed sphere at f2e3782, the PSO fit at 2574537,
+the Michalewicz fits at 3b16e89, the one-variable f15 fit at df43778, the GA
+fits at the child of 8edfcec, where GA began to draw one normal per mutated
+gene) with numpy 2.4 on x86-64.  A change that alters any scored value, draw
+or tie-break changes them.
 
 One ulp of difference flips accept decisions, so every pinned fit but the
 Michalewicz ones scores with integer values or correctly rounded operations
@@ -15,7 +16,7 @@ Michalewicz ones scores with integer values or correctly rounded operations
 sphere fits avoid Rastrigin, and the GEO fit relies on its distances being
 floored to integers far from a rounding edge, which
 ``test_geo_distances_are_far_from_an_integer_edge`` checks.  The GA's
-mutation noise comes from numpy's ziggurat normal sampler, whose output is
+mutation steps come from numpy's ziggurat normal sampler, whose output is
 pinned with the same numpy 2.4 on x86-64 as the rest.  The Michalewicz fits
 (f24, box [0, pi]^2) are the only ones that clamp at a lower bound of 0: the
 GHOSA fit clamps 240 coordinates up to 0.0 and ends with 26 zeros in its
@@ -129,14 +130,14 @@ PINNED = {
         "402213d5d7ded1349ae50a7969f0efedc3a0f21adb42a076deb2a1a611421abb",
     ),
     "ga-sphere-d10": (
-        "0x1.7e81f26a64e19p-4",
-        "83d7aaa227c1171eda0686a5204e4d94e1b0b2d9f1daffbca850b2a8e816e4ab",
-        "cd7fd39860287e7738173104171a795a2a5b952ca7e7cf4fc3466982201e294d",
+        "0x1.7b505ee5a0acbp-2",
+        "c3f12ad20aa970ca8afe8cd02efbe9f2985474b5259d0d1c6aa7f6301a59252a",
+        "9c349e010be6e6568d32608eef21a065a10c8b743a3c7663fd25c190e0f317fc",
     ),
     "ga-sphere-d30-odd-pop": (
-        "0x1.dea70c93cbd03p+7",
-        "2ed5425e695cae73e90b8a86279fc9935cbff5c0f08d3bd5fdee8b41e4d00e91",
-        "d8a5c4eb5f855e4b2e0d13d71a44852d8c25bfa2900f90ddfeb597fe944ecc29",
+        "0x1.81faa593e66e5p+7",
+        "8dc660b36bba43265c38464608f0f13a582328d80a7fb9c2d3d3bda2e7a437cc",
+        "db0226a6c846ec1196de77d7411026fa81b17887151b1e80571964082f026afd",
     ),
     "knapsack3x30": (
         "0x1.fe80000000000p+9",

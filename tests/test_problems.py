@@ -27,6 +27,8 @@ from ghosa.errors import (
     InvalidTour,
     NonPositiveVelocity,
     ThresholdOutOfRange,
+    UnknownNodeReference,
+    UnsupportedEdgeWeightType,
     WrongEndpoints,
 )
 from ghosa.problems.roadnet import INFEASIBLE_FITNESS, WALK_CACHE_ROWS
@@ -56,6 +58,18 @@ class TestTsp:
     def test_invalid_tour_rejected(self, unit_square_tsp):
         with pytest.raises(InvalidTour):
             tsp_tour_length(unit_square_tsp, [1, 2, 3, 3])
+
+    @pytest.mark.parametrize("fields, error, match", [
+        ({"metric": "MAN_2D"}, UnsupportedEdgeWeightType, "MAN_2D"),
+        ({"coords": np.zeros((2, 2))}, InstanceError, "coordinate pairs"),
+        ({"metric": "EXPLICIT"}, InstanceError, "requires a distance matrix"),
+        ({"metric": "EXPLICIT", "matrix": np.zeros((2, 2))}, InstanceError, "shape"),
+        ({"coords": None}, InstanceError, "EUC_2D metric requires coordinates"),
+    ])
+    def test_malformed_instance_rejected(self, fields, error, match):
+        valid = dict(n=3, coords=np.zeros((3, 2)), metric="EUC_2D")
+        with pytest.raises(error, match=match):
+            TspInstance(**{**valid, **fields})
 
     def test_geo_metric_matches_reference_formula(self, ulysses16_path):
         from ghosa.ingest import load_instance
@@ -285,6 +299,10 @@ class TestKnapsackDecode:
         with pytest.raises(ThresholdOutOfRange):
             knapsack_decode([2, 1], 3)
 
+    def test_non_permutation_rejected(self):
+        with pytest.raises(InvalidPermutation):
+            knapsack_decode([2, 2, 1], 1)
+
 
 class TestKnapsackProfit:
     def test_empty_selection_always_feasible(self, rng):
@@ -297,6 +315,20 @@ class TestKnapsackProfit:
         inst = KnapsackInstance(m=1, n=2, profit=[10, 10], weight=[[5, 5]], capacity=[6])
         assert knapsack_profit(inst, [1, 1]) == 0.0
         assert knapsack_profit(inst, [1, 0]) == 10.0
+        with pytest.raises(InstanceError, match="expected 2 bits"):
+            knapsack_profit(inst, [1, 0, 1])
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"profit": [1, 2]}, "profits"),
+        ({"weight": [[1, 2, 3]]}, "weights"),
+        ({"capacity": [4]}, "capacities"),
+        ({"profit": [1, -2, 3]}, "profits must be non-negative"),
+        ({"capacity": [4, -1]}, "capacities must be non-negative"),
+    ])
+    def test_malformed_instance_rejected(self, fields, match):
+        valid = dict(m=2, n=3, profit=[1, 2, 3], weight=np.ones((2, 3)), capacity=[4, 4])
+        with pytest.raises(InstanceError, match=match):
+            KnapsackInstance(**{**valid, **fields})
 
     def test_matches_exhaustive_maximum_n10(self, rng):
         inst = KnapsackInstance(
@@ -415,6 +447,28 @@ class TestRoadFitness:
         with pytest.raises(InstanceError, match="repeats a node id"):
             RoadNetwork(nodes=[1, 2, 2, 3], edges=edges, velocity=1.0, source=1, destination=3)
 
+    @pytest.mark.parametrize("fields, error, match", [
+        ({"destination": 1}, InstanceError, "must differ"),
+        ({"destination": 9}, UnknownNodeReference, "endpoint 9"),
+        ({"edges": {(1, 9): (1.0, 0.0)}}, UnknownNodeReference, r"edge \(1, 9\)"),
+        ({"edges": {(1, 2): (-1.0, 0.0)}}, InstanceError, "negative weight"),
+        ({"edges": {(1, 2): (1.0, -0.5)}}, InstanceError, "negative weight"),
+        ({"caps": np.array([1.0])}, InstanceError, "given together"),
+    ])
+    def test_malformed_network_rejected(self, fields, error, match):
+        valid = dict(nodes=[1, 2, 3], edges={(1, 2): (1.0, 0.0), (2, 3): (1.0, 0.0)},
+                     velocity=1.0, source=1, destination=3)
+        with pytest.raises(error, match=match):
+            RoadNetwork(**{**valid, **fields})
+
+    def test_dead_end_has_no_components(self):
+        # node 2 has no way on, so every priority order dead-ends there
+        net = RoadNetwork(nodes=[1, 2, 3], edges={(1, 2): (1.0, 0.0)}, velocity=1.0,
+                          source=1, destination=3)
+        problem = RoadNetworkProblem(net)
+        assert problem.decode([1, 3, 2]) is None
+        assert problem.component_values([1, 3, 2]) is None
+
 
 def reference_walk(net, sequence):
     """The dict-based greedy walk: node ids of the path, or None at a dead end."""
@@ -528,7 +582,7 @@ class TestRoadNetworkProblem:
             [4.0, INFEASIBLE_FITNESS],
         )
 
-    @pytest.mark.parametrize("awt_noise", [-0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("awt_noise", [-0.5, 1.5, float("nan"), float("inf")])
     def test_awt_noise_must_be_finite_and_non_negative(self, toy_roadnet, awt_noise):
         with pytest.raises(ConfigError, match="awt_noise"):
             RoadNetworkProblem(toy_roadnet, awt_noise=awt_noise)
