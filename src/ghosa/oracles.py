@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import Disconnected, TooLarge
+from .errors import Disconnected, ParseError, TooLarge
 from .problems import KnapsackInstance, QapInstance, RoadNetwork, TspInstance
 from .problems.knapsack import knapsack_profit
 from .problems.roadnet import road_fitness
@@ -196,16 +197,25 @@ def exact_shortest_paths(net: RoadNetwork, max_nodes_exhaustive: int = 15) -> Or
 
 
 class OracleCache:
-    """checksum -> optimum records in a line-oriented text file."""
+    """checksum -> optimum records in a line-oriented text file.  Every non-blank
+    line is ``<checksum> <finite number>``; any other line raises ``ParseError``."""
 
     def __init__(self, path):
         self.path = Path(path)
         self._records: dict[str, float] = {}
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                parts = line.split()
-                if len(parts) == 2:
-                    self._records[parts[0]] = float(parts[1])
+            for number, line in enumerate(self.path.read_text().splitlines(), 1):
+                if not line.strip():
+                    continue
+                try:
+                    checksum, text = line.split()
+                    optimum = float(text)
+                    if not math.isfinite(optimum):
+                        raise ValueError
+                except ValueError:
+                    raise ParseError(f"{self.path}, line {number}: expected "
+                                     f"'<checksum> <finite number>', got {line!r}") from None
+                self._records[checksum] = optimum
 
     def get(self, checksum: str) -> float | None:
         return self._records.get(checksum)

@@ -303,52 +303,58 @@ class BenchmarkFunction:
         self.fn = fn
         self.best_known = optimum
         self.optimizer = np.array(np.broadcast_to(optimizer, dim), dtype=float)
-        # Rastrigin's terms (a cos each) cost more to recompute than to compare
+        # Rastrigin's terms (a cos each) cost more to recompute than to reuse;
+        # f1's and f4's polynomial terms do not
         self.terms = _f5_terms if fid == "f5" else None
-        self._scan = None  # (x, terms of x) while placement_cost scores its blocks
+        # (block, its baited entries, their terms, terms of x) while a scan scores it
+        self._scan = None
 
     def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` points drawn uniformly from the box, one per row."""
-        return rng.uniform(self.lo, self.hi, size=(count, self.dimension))
+        """``count`` points drawn uniformly from the box, one per row: the values and
+        the generator state of ``rng.uniform(lo, hi, (count, dimension))``."""
+        return self.lo + self.span * rng.random((count, self.dimension))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Clamp the rows of ``x`` into the box in place and return ``x``."""
         return np.minimum(np.maximum(x, self.lo, out=x), self.hi, out=x)
 
-    def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
-        """One value per row of ``x``.  f12 adds ``rng.random(len(x))`` when
-        ``rng`` is given; every other function ignores ``rng``.  A Rastrigin scan
-        block recomputes only the terms of entries that differ from the scan's rows."""
+    def _rows(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"expected dimension {self.dimension}, got {x.shape[1]}"
             )
+        return x
+
+    def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
+        """One value per row of ``x``.  f12 adds ``rng.random(len(x))`` when
+        ``rng`` is given; every other function ignores ``rng``.  The read-only
+        trial block of a Rastrigin scan is scored from the scan's precomputed terms."""
+        x = self._rows(x)
         if self.fid == "f12" and rng is not None:
             return self.fn(x) + rng.random(len(x))
-        if self._scan is None:
+        if self._scan is None or x is not self._scan[0]:
             return self.fn(x)
-        # a scan block is copies of the scanned rows, so only the entries that differ
-        # get fresh terms: equal entries have equal terms (-0.0 and 0.0 too) and NaN
-        # never compares equal, so the row sums are bit-identical to fn's
-        base, terms = self._scan
-        changed = np.flatnonzero(x.reshape(-1, *base.shape) != base)
-        block = np.empty((len(x) // len(base),) + base.shape)
-        block[:] = terms
-        block.put(changed, self.terms(x.take(changed)))
-        return block.reshape(x.shape).sum(axis=1)
+        # the block is copies of the scanned rows with baits put in: equal values have
+        # equal terms, and the row sums run over the same (k*N, D) array as fn's
+        _, baited, bait_terms, base = self._scan
+        terms = np.tile(base, (len(x) // len(base), 1))
+        terms.put(baited, bait_terms)
+        return terms.sum(axis=1)
 
     def placement_cost(self, x, baits, positions) -> np.ndarray:
         """Nominal value of each row of ``x`` with its bait at each slot of ``positions``.
 
-        Entry ``[i, j]`` scores row i with ``lo[p] + baits[i] * span[p]`` at slot
+        ``x`` is read as floats, as ``evaluate_batch`` reads it.  Entry ``[i, j]``
+        scores row i with ``lo[p] + baits[i] * span[p]`` at slot
         ``p = positions[i, j]``; zero rows give a ``(0, width)`` array.  Window
         columns are stacked into trial blocks of at most ``TRIAL_BLOCK_ENTRIES``
         entries (one whole column when a column is larger): a block is copies of
-        ``x``, one per column, with one ``put``, scored by one ``evaluate_batch``
-        call.  Rastrigin's scan holds ``x`` and its terms until it returns, so
-        each block recomputes only its baited terms.
+        ``x``, one per column, with one ``put``, marked read-only and scored by one
+        ``evaluate_batch`` call.  Rastrigin's scan takes the terms of ``x`` and of
+        every bait value once, so a block's score needs no new term.
         """
+        x = self._rows(x)
         n, width = positions.shape
         if not x.size:
             return np.empty((0, width))
@@ -358,14 +364,18 @@ class BenchmarkFunction:
                 + np.arange(0, width * x.size, x.size)[:, None]).ravel()
         step = max(1, TRIAL_BLOCK_ENTRIES // x.size)
         if self.terms is not None:
-            self._scan = (x, self.terms(x))  # no copy: the scan never writes to x
+            base, bait_terms = self.terms(x), self.terms(values)
         costs = np.empty((n, width))
         try:
             for start in range(0, width, step):
                 cols = min(step, width - start)
-                block = np.tile(x, (cols, 1))
                 rows = slice(start * n, (start + cols) * n)
-                block.put(flat[rows] - start * x.size, values[rows])
+                baited = flat[rows] - start * x.size
+                block = np.tile(x, (cols, 1))
+                block.put(baited, values[rows])
+                block.flags.writeable = False
+                if self.terms is not None:
+                    self._scan = (block, baited, bait_terms[rows], base)
                 scores = self.evaluate_batch(block, rng=None)
                 costs[:, start:start + cols] = scores.reshape(cols, n).T
         finally:

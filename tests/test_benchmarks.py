@@ -86,21 +86,23 @@ def test_random_points_never_below_optimum(rng):
         assert np.all(f.evaluate_batch(x) >= f.best_known - 1e-9)
 
 
-@pytest.mark.parametrize("fid, dim", [("f6", None), ("f5", 30), ("f7", None)])
+# every id, per-column bounds (f7, f14, f23) included, and one scaled dimension
+@pytest.mark.parametrize("fid, dim", [(fid, None) for fid in benchmark_ids()] + [("f5", 30)])
 def test_initial_population_is_uniform_in_the_box(fid, dim):
     f = benchmark_function(fid, dim)
-    x = f.initial_population(np.random.default_rng(8), 40)
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    x = f.initial_population(rng, 40)
     assert x.shape == (40, f.dimension)
     assert np.all((x >= f.bounds[:, 0]) & (x <= f.bounds[:, 1]))
-    expected = np.random.default_rng(8).uniform(
-        f.bounds[:, 0], f.bounds[:, 1], size=(40, f.dimension)
-    )
-    assert np.array_equal(x, expected)
+    # the values and the generator state of rng.uniform, bit for bit
+    expected = reference.uniform(f.bounds[:, 0], f.bounds[:, 1], size=(40, f.dimension))
+    assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
     ("f1", 30, None), ("f3", 30, None), ("f5", 30, None), ("f12", 30, None),
-    # scans whose blocks change every entry (d=1) or up to half of them (d=2)
+    # scans whose blocks bait every entry (d=1) or half of them (d=2)
     ("f5", 1, None), ("f5", 2, None),
     # the engine's input: one read-only (offset, width) window for every row
     ("f14", None, (1, 1)), ("f5", 30, (3, 25)),
@@ -194,6 +196,45 @@ def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
         assert sum(recomputed) <= x.size + positions.size
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_rastrigin_scan_scores_only_its_own_block_from_terms(shift):
+    # a wrapper that hands evaluate_batch a copy of the block, shifted or not,
+    # gets the copy's own values: only the scan's read-only block reads its terms
+    f, oracle = benchmark_function("f5", 30), benchmark_function("f5", 30)
+    evaluate, writeable, expected = f.evaluate_batch, [], []
+
+    def copy_of_block(rows, rng=None):
+        writeable.append(rows.flags.writeable)
+        trial = rows.copy()
+        trial[:, 0] += shift
+        expected.append(oracle.evaluate_batch(trial))
+        return evaluate(trial, rng)
+
+    f.evaluate_batch = copy_of_block
+    rng = np.random.default_rng(13)
+    x, baits = f.initial_population(rng, 50), rng.random(50)
+    positions = np.tile(np.arange(30), (50, 1))
+    costs = f.placement_cost(x, baits, positions)
+    assert writeable == [False] * 3
+    want = np.concatenate(expected).reshape(30, 50).T
+    assert np.array_equal(costs.view(np.int64), want.view(np.int64))
+    if not shift:
+        fresh = oracle.placement_cost(x, baits, positions)
+        assert np.array_equal(costs.view(np.int64), fresh.view(np.int64))
+
+
+def test_placement_cost_reads_rows_as_floats():
+    # integer rows once truncated the bait 0.4 to 0 and scored 13.0
+    f = benchmark_function("f1", 3)
+    baits, positions = np.array([0.51]), np.array([[0]])
+    want = f.evaluate_batch([[-20.0 + 0.51 * 40.0, 2.0, 3.0]])[0]
+    assert want == pytest.approx(13.16)
+    for x in (np.array([[1, 2, 3]]), [[1, 2, 3]], [1, 2, 3]):
+        assert f.placement_cost(x, baits, positions)[0, 0] == want
+    with pytest.raises(DimensionMismatch):
+        f.placement_cost([[1.0, 2.0]], baits, positions)
+
+
 @pytest.mark.parametrize("fid", ["f5", "f1"])  # with and without a term scan
 def test_placement_cost_of_zero_rows_is_empty(fid):
     f = benchmark_function(fid, 30)
@@ -209,21 +250,20 @@ def test_rastrigin_problem_pickles_without_scan_state():
     size = len(pickle.dumps(f))
     ContinuousGhosaOptimizer(population_size=10, iterations=3, seed=0).fit(f)
     assert len(pickle.dumps(f)) == size
-    terms, blocks = f.terms, []
+    evaluate, blocks = f.evaluate_batch, []
 
-    def second_block_raises(x):
-        if x.ndim == 1:  # the changed entries of one trial block
-            blocks.append(x.size)
-            if len(blocks) == 2:
-                raise RuntimeError("second block")
-        return terms(x)
+    def second_block_raises(rows, rng=None):  # an instance attribute, as the benchmark wraps it
+        blocks.append(len(rows))
+        if len(blocks) == 2:
+            raise RuntimeError("second block")
+        return evaluate(rows, rng)
 
-    f.terms = second_block_raises
+    f.evaluate_batch = second_block_raises
     rng = np.random.default_rng(3)
     x = f.initial_population(rng, 50)
     with pytest.raises(RuntimeError, match="second block"):
         f.placement_cost(x, rng.random(50), np.tile(np.arange(30), (50, 1)))
-    f.terms = terms
+    del f.evaluate_batch
     assert len(pickle.dumps(f)) == size
     rows = x.copy()
     rows[:, 4] = 0.5

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_knapsack, random_qap, random_roadnet, random_tsp
+from conftest import FIXTURES, random_knapsack, random_qap, random_roadnet, random_tsp
 from ghosa import KnapsackInstance, QapInstance, RoadNetwork, TspInstance, tsp_tour_length
-from ghosa.errors import Disconnected, TooLarge
+from ghosa.cli import entrypoint
+from ghosa.errors import Disconnected, ParseError, TooLarge
 from ghosa.oracles import (
     OracleCache,
     brute_force_qap,
@@ -183,3 +184,20 @@ class TestOracleCache:
         cache.put("k", 1.0)
         cache.put("k", 2.0)
         assert OracleCache(tmp_path / "oracle.cache").get("k") == 2.0
+
+    @pytest.mark.parametrize("line", [
+        "abc def", "abc 1.5 extra", "abc", "abc nan", "abc inf", "abc -inf"])
+    def test_malformed_line_is_a_parse_error_naming_file_and_line(self, tmp_path, line):
+        path = tmp_path / "oracle.cache"
+        path.write_text(f"ok 2.0\n  \n{line}\n")  # a blank line 2 is skipped
+        with pytest.raises(ParseError, match=rf"oracle\.cache, line 3: .*{line!r}"):
+            OracleCache(path)
+
+    @pytest.mark.parametrize("line", ["abc def", "abc 1.5 extra"])
+    def test_malformed_cache_exits_2_from_the_cli(self, tmp_path, capsys, line):
+        path = tmp_path / "oracle.cache"
+        path.write_text(f"{line}\n")
+        code = entrypoint(["oracle", "--problem", "roadnet",
+                           "--instance", f"{FIXTURES}/grid4.road", "--cache", str(path)])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
