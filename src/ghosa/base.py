@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValue
 
 
 @dataclass(eq=False, repr=False)
@@ -31,9 +31,9 @@ class PopulationOptimizer:
 
     A subclass is a ``dataclass(eq=False, repr=False)`` whose fields are its
     remaining parameters.  It extends ``check_params`` and implements
-    ``_run(problem, rng)``: a generator that scores rows only through
-    ``_score`` (``self._score(problem.evaluate_batch, rows, rng=rng)``, the
-    scoring call every problem answers), keeps its best solution as a fitted
+    ``_run(problem, rng)``: a generator that draws new rows with ``_fresh``,
+    scores others only with ``self._score(problem.evaluate_batch, rows,
+    rng=rng)``, keeps its best solution as a fitted
     attribute (the GHOSA engines keep their final population too), and
     yields the global best fitness after each iteration.
     ``fit`` runs ``check_params``, seeds ``rng`` from ``seed`` and takes at
@@ -81,6 +81,11 @@ class PopulationOptimizer:
         self.evaluations_ += fitness.size
         return fitness
 
+    def _fresh(self, problem, rng, count):
+        """``count`` rows from ``problem.initial_population`` and their fitness."""
+        rows = problem.initial_population(rng, count)
+        return rows, self._score(problem.evaluate_batch, rows, rng=rng)
+
     def check_params(self) -> None:
         """Raise ConfigError on a setting the run cannot use; ``fit`` calls it first."""
         check_int_at_least(self.population_size, self.min_population, "population_size")
@@ -112,8 +117,7 @@ class PopulationOptimizer:
 
 @dataclass(eq=False, repr=False)
 class GhosaBase(PopulationOptimizer):
-    """Both GHOSA engines' shared parameters, their one way to draw scored rows,
-    and the step that ends each iteration."""
+    """Both GHOSA engines' shared parameters and the step that ends each iteration."""
 
     replace_fraction: float = 10.0
     p_miss: float = 1.0 / 3.0
@@ -124,11 +128,6 @@ class GhosaBase(PopulationOptimizer):
         super().check_params()
         check_case_probabilities(self.p_miss, self.p_catch, self.p_false)
         check_replace_fraction(self.replace_fraction)
-
-    def _fresh(self, problem, rng, count):
-        """``count`` rows from ``problem.initial_population`` and their fitness."""
-        rows = problem.initial_population(rng, count)
-        return rows, self._score(problem.evaluate_batch, rows, rng=rng)
 
     def _survive(self, problem, rng, rows, fitness, cand, cand_fitness, best, sign=1.0):
         """Greedy accept, then redraw the worst rows through ``_fresh``, in place.
@@ -171,6 +170,14 @@ def check_number(value, name: str) -> float:
     if not real or not math.isfinite(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def check_finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinite entry is a NonFiniteValue."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"{what} must be finite, got {values[~np.isfinite(values)][0]}")
+    return values
 
 
 def check_probability(value, name: str) -> float:

@@ -45,10 +45,9 @@ class ParticleSwarmOptimizer(PopulationOptimizer):
     def _run(self, problem, rng):
         n, dim = self.population_size, problem.dimension
 
-        x = problem.initial_population(rng, n)
+        x, fit = self._fresh(problem, rng, n)
         v = np.zeros((n, dim))
         vmax = self.velocity_clamp * problem.span
-        fit = self._score(problem.evaluate_batch, x, rng=rng)
         pbest_x = x.copy()
         pbest_f = fit.copy()
         gbest_x, gbest_f = best_of(pbest_x, pbest_f)
@@ -99,8 +98,7 @@ class GeneticAlgorithmOptimizer(PopulationOptimizer):
         n, dim = self.population_size, problem.dimension
         mrate = self.mutation_rate if self.mutation_rate is not None else 1.0 / dim
 
-        x = problem.initial_population(rng, n)
-        fit = self._score(problem.evaluate_batch, x, rng=rng)
+        x, fit = self._fresh(problem, rng, n)
         gbest_x, gbest_f = best_of(x, fit)
         draws = np.empty((n, dim))
 

@@ -41,7 +41,7 @@ class GhosaOptimizer(GhosaBase):
     in ``population_`` and ``population_fitness_``.  ``trace_components_``
     holds, per iteration, the problem's ``component_values`` of the latest
     global best that has them, or None.  ``evaluations_`` counts every row
-    scored, including the re-scores of dynamic problems.
+    scored, including the re-scores that ``prepare_iteration`` asks for.
     """
 
     window_fraction: float = 0.25
@@ -69,8 +69,7 @@ class GhosaOptimizer(GhosaBase):
         whole_rotation = problem.rotation_scope == "whole"
 
         while True:
-            problem.prepare_iteration(rng)
-            if problem.dynamic:
+            if problem.prepare_iteration(rng):
                 fitness = self._score(problem.evaluate_batch, sequences, rng=rng)
 
             weights = 1.0 / (1.0 + bait_counts)

@@ -47,6 +47,10 @@ class OutOfBounds(GhosaError, ValueError):
 
 # --- problem-evaluation errors ---------------------------------------------
 
+class NonFiniteValue(InstanceError):
+    """An instance number (coordinate, weight, capacity, velocity) is NaN or infinite."""
+
+
 class InvalidTour(InstanceError):
     """Tour is not a permutation of the instance's cities."""
 

@@ -203,20 +203,21 @@ def _numbers(values) -> str:
 
 
 def serialize_tsplib(inst: TspInstance) -> str:
+    """TSPLIB text; TSPLIB has no unrounded Euclidean type, so an ``EUCLID_RAW``
+    instance is written as the ``EXPLICIT`` matrix of its distances."""
     lines = [
         f"NAME : {inst.name or 'unnamed'}",
         "TYPE : TSP",
         f"DIMENSION : {inst.n}",
     ]
-    if inst.metric == "EXPLICIT":
+    if inst.metric in ("EXPLICIT", "EUCLID_RAW"):
         lines.append("EDGE_WEIGHT_TYPE : EXPLICIT")
         lines.append("EDGE_WEIGHT_FORMAT : FULL_MATRIX")
         lines.append("EDGE_WEIGHT_SECTION")
-        for row in inst.matrix:
+        for row in inst.distance_matrix():
             lines.append(_numbers(row))
     else:
-        metric = "EUC_2D" if inst.metric == "EUCLID_RAW" else inst.metric
-        lines.append(f"EDGE_WEIGHT_TYPE : {metric}")
+        lines.append(f"EDGE_WEIGHT_TYPE : {inst.metric}")
         lines.append("NODE_COORD_SECTION")
         for i, xy in enumerate(inst.coords, start=1):
             lines.append(f"{i} {_numbers(xy)}")

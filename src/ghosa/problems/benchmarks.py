@@ -354,7 +354,7 @@ class BenchmarkFunction:
         ``evaluate_batch`` call.  Rastrigin's scan takes the terms of ``x`` and of
         every bait value once, so a block's score needs no new term.
         """
-        x = self._rows(x)
+        x, baits, positions = self._rows(x), np.asarray(baits), np.asarray(positions)
         n, width = positions.shape
         if not x.size:
             return np.empty((0, width))

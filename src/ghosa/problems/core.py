@@ -12,16 +12,14 @@ class SequenceProblem:
     optimizers score rows through ``evaluate_batch``, as they score a
     ``BenchmarkFunction``.  The default encoding is a permutation of
     1..dimension.  ``sense`` declares whether fitness is minimized or
-    maximized; the engine handles the sign.
+    maximized; the engine handles the sign.  The engine reads each hook by
+    what it returns.
     """
 
     dimension: int
     sense: str = "min"
     #: "whole" rotates the entire string; "segment" rotates a random sub-range.
     rotation_scope: str = "whole"
-    #: True when evaluation depends on per-iteration state (re-drawn decode
-    #: thresholds, traffic jitter); the engine then re-scores incumbents.
-    dynamic: bool = False
     name: str = ""
     best_known: float | None = None
 
@@ -49,5 +47,6 @@ class SequenceProblem:
         """Extra per-objective values recorded alongside the trace."""
         return None
 
-    def prepare_iteration(self, rng: np.random.Generator) -> None:
-        """Hook run once per engine iteration (e.g. re-drawn decode state)."""
+    def prepare_iteration(self, rng: np.random.Generator) -> bool | None:
+        """Hook run once per engine iteration; True when it changed how rows score
+        (a re-drawn threshold, new traffic jitter), so the engine re-scores its rows."""

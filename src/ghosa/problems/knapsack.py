@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import is_permutation
+from ..base import check_finite, is_permutation
 from ..errors import ConfigError, InstanceError, InvalidPermutation, ThresholdOutOfRange
 from .core import SequenceProblem
 
@@ -29,9 +29,9 @@ class KnapsackInstance:
     name: str = ""
 
     def __post_init__(self):
-        self.profit = np.asarray(self.profit, dtype=float)
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.capacity = np.asarray(self.capacity, dtype=float)
+        self.profit = check_finite(self.profit, "profits")
+        self.weight = check_finite(self.weight, "weights")
+        self.capacity = check_finite(self.capacity, "capacities")
         if self.profit.shape != (self.n,):
             raise InstanceError(f"expected {self.n} profits, got {self.profit.shape}")
         if self.weight.shape != (self.m, self.n):
@@ -98,11 +98,11 @@ class KnapsackProblem(SequenceProblem):
             self._threshold = int(k)
         elif threshold_policy not in ("sweep", "random"):
             raise ConfigError(f"unknown threshold policy {threshold_policy!r}")
-        self.dynamic = threshold_policy == "random"
 
-    def prepare_iteration(self, rng: np.random.Generator) -> None:
+    def prepare_iteration(self, rng: np.random.Generator) -> bool | None:
         if self.threshold_policy == "random":
             self._threshold = int(rng.integers(1, self.instance.n + 1))
+            return True
 
     def batch_fitness(self, sequences: np.ndarray) -> np.ndarray:
         if self.threshold_policy == "sweep":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import is_permutation
+from ..base import check_finite, is_permutation
 from ..errors import InstanceError, InvalidPermutation
 from .core import SequenceProblem
 
@@ -22,8 +22,8 @@ class QapInstance:
     name: str = ""
 
     def __post_init__(self):
-        self.flow = np.asarray(self.flow, dtype=float)
-        self.dist = np.asarray(self.dist, dtype=float)
+        self.flow = check_finite(self.flow, "flow matrix")
+        self.dist = check_finite(self.dist, "distance matrix")
         if self.flow.shape != (self.n, self.n) or self.dist.shape != (self.n, self.n):
             raise InstanceError(
                 f"flow/dist must both be {self.n}x{self.n}, got "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import check_positive
+from ..base import check_finite, check_positive
 from ..errors import (
     ConfigError,
     DisconnectedPath,
@@ -44,7 +44,7 @@ class RoadNetwork:
     name: str = ""
 
     def __post_init__(self):
-        if self.velocity <= 0:
+        if check_finite(self.velocity, "velocity") <= 0:
             raise NonPositiveVelocity(f"velocity must be > 0, got {self.velocity}")
         if self.source == self.destination:
             raise InstanceError("source and destination must differ")
@@ -54,6 +54,7 @@ class RoadNetwork:
         for endpoint in (self.source, self.destination):
             if endpoint not in node_set:
                 raise UnknownNodeReference(f"endpoint {endpoint} not among nodes")
+        check_finite(list(self.edges.values()), "edge weights")
         for (u, v), (d, awt) in self.edges.items():
             if u not in node_set or v not in node_set:
                 raise UnknownNodeReference(f"edge ({u}, {v}) references unknown node")
@@ -62,8 +63,8 @@ class RoadNetwork:
         if (self.resources is None) != (self.caps is None):
             raise InstanceError("resources and caps must be given together")
         if self.caps is not None:
-            self.caps = np.asarray(self.caps, dtype=float)
-            self.resources = {e: np.asarray(r, dtype=float) for e, r in self.resources.items()}
+            self.caps = check_finite(self.caps, "caps")
+            self.resources = {e: check_finite(r, "resources") for e, r in self.resources.items()}
 
     def adjacency(self) -> dict[int, list[int]]:
         """Out-neighbours of each node, in increasing node id."""
@@ -128,7 +129,6 @@ class RoadNetworkProblem(SequenceProblem):
         if self.awt_noise > 1.0:
             # the factor 1 + awt_noise * U(-1, 1) would turn waiting times negative
             raise ConfigError(f"awt_noise must be <= 1, got {self.awt_noise}")
-        self.dynamic = self.awt_noise > 0.0
         self.node_ids = sorted(network.nodes)
         index = {node: i for i, node in enumerate(self.node_ids)}
         self.dimension = len(self.node_ids)
@@ -145,11 +145,12 @@ class RoadNetworkProblem(SequenceProblem):
         self._cost = (self._travel + self._awt).tolist()
         self._walks, self._last_walks = {}, {}
 
-    def prepare_iteration(self, rng: np.random.Generator) -> None:
+    def prepare_iteration(self, rng: np.random.Generator) -> bool:
         self._walks, self._last_walks = {}, self._walks
         if self.awt_noise > 0.0:
             jitter = 1.0 + self.awt_noise * rng.uniform(-1.0, 1.0, size=len(self._awt))
             self._cost = (self._travel + self._awt * jitter).tolist()
+        return self.awt_noise > 0.0
 
     def _walk(self, row: list) -> list[int] | None:
         """Edge ids of the greedy walk over priorities ``row`` (marked in place);

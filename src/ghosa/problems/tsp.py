@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..base import is_permutation
+from ..base import check_finite, is_permutation
 from ..errors import InstanceError, InvalidTour, UnsupportedEdgeWeightType
 from .core import SequenceProblem
 
@@ -65,7 +65,7 @@ class TspInstance:
         if self.metric not in SUPPORTED_METRICS:
             raise UnsupportedEdgeWeightType(f"metric {self.metric!r} not supported")
         if self.coords is not None:
-            self.coords = np.asarray(self.coords, dtype=float)
+            self.coords = check_finite(self.coords, "coordinates")
             if self.coords.shape != (self.n, 2):
                 raise InstanceError(
                     f"expected {self.n} coordinate pairs, got {self.coords.shape}"
@@ -73,7 +73,7 @@ class TspInstance:
         if self.metric == "EXPLICIT":
             if self.matrix is None:
                 raise InstanceError("EXPLICIT metric requires a distance matrix")
-            self.matrix = np.asarray(self.matrix, dtype=float)
+            self.matrix = check_finite(self.matrix, "distance matrix")
             if self.matrix.shape != (self.n, self.n):
                 raise InstanceError("distance matrix shape does not match n")
         elif self.coords is None:

@@ -236,6 +236,16 @@ def test_placement_cost_reads_rows_as_floats():
 
 
 @pytest.mark.parametrize("fid", ["f5", "f1"])  # with and without a term scan
+def test_placement_cost_reads_list_baits_and_positions(fid):
+    f = benchmark_function(fid, 4)
+    x = f.initial_population(np.random.default_rng(3), 2)
+    baits, positions = np.array([0.51, 0.2]), np.array([[0, 2], [1, 3]])
+    want = f.placement_cost(x, baits, positions)
+    got = f.placement_cost(x, baits.tolist(), positions.tolist())
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fid", ["f5", "f1"])  # with and without a term scan
 def test_placement_cost_of_zero_rows_is_empty(fid):
     f = benchmark_function(fid, 30)
     costs = f.placement_cost(

@@ -356,6 +356,30 @@ class TestEvaluationCount:
         first = opt.evaluations_
         assert opt.fit(prob).evaluations_ == first
 
+    @pytest.mark.parametrize("changed", [True, None])
+    def test_prepare_iteration_result_decides_the_rescore(self, changed):
+        # scores drift every iteration; only a true result says so, and no flag does
+        class Drifting(SequenceProblem):
+            dimension = 6
+
+            def __init__(self):
+                self.drift = 0.0
+
+            def batch_fitness(self, rows):
+                return rows[:, 0] + self.drift
+
+            def prepare_iteration(self, rng):
+                self.drift += 0.5
+                return changed
+
+        prob, n, iterations = Drifting(), 10, 7
+        opt = GhosaOptimizer(population_size=n, iterations=iterations, seed=2).fit(prob)
+        redrawn = int(opt.replace_fraction * n // 100)
+        rescored = n if changed else 0
+        assert opt.evaluations_ == n + iterations * (rescored + n + redrawn)
+        if changed:
+            assert np.array_equal(opt.population_fitness_, prob.batch_fitness(opt.population_))
+
 
 class TestFitValidation:
     """Operator settings are checked once, in ``fit``, by shared helpers."""

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from ghosa import TspInstance
 from ghosa.errors import (
     CountMismatch,
     DimensionMismatch,
     DuplicateEdge,
     InstanceError,
     MissingHeaderField,
+    NonFiniteValue,
     NonNumericToken,
     NonPositiveVelocity,
     ParseError,
@@ -83,6 +85,15 @@ class TestTsplib:
         assert again.n == inst.n
         assert again.metric == inst.metric
         assert np.array_equal(again.coords, inst.coords)
+        assert serialize_tsplib(inst) == TSP_GOLDEN
+
+    def test_euclid_raw_round_trip_keeps_unrounded_distances(self, rng):
+        coords = np.vstack([[0.0, 0.0], [1.4, 0.0], rng.uniform(0, 100, (5, 2))])
+        inst = TspInstance(n=7, coords=coords, metric="EUCLID_RAW")
+        again = parse_tsplib(serialize_tsplib(inst))
+        assert again.metric == "EXPLICIT"
+        assert again.distance_matrix()[0, 1] == 1.4
+        assert np.array_equal(again.distance_matrix(), inst.distance_matrix())
 
     # format -> the (row, column) pairs its section lists, in order
     SECTIONS = {
@@ -387,7 +398,41 @@ MALFORMED = {
     ),
     "road-repeated-node": ("roadnet", ROAD_REPEATED_NODE, InstanceError, "repeats a node id"),
     "road-repeated-edge": ("roadnet", ROAD_REPEATED_EDGE, DuplicateEdge, "listed twice"),
+    # NaN and inf read as numbers; the instance constructors reject them
+    "tsp-nan-coordinate": (
+        "tsp", TSP_GOLDEN.replace("2 1.0 0.0", "2 nan 0.0"), NonFiniteValue,
+        "coordinates must be finite, got nan",
+    ),
+    "tsp-inf-distance": (
+        "tsp", TestTsplib.explicit(2, "UPPER_ROW", "inf"), NonFiniteValue,
+        "distance matrix must be finite, got inf",
+    ),
+    "qap-nan-flow": (
+        "qap", QAP_GOLDEN.replace("0 1\n", "0 nan\n", 1), NonFiniteValue,
+        "flow matrix must be finite, got nan",
+    ),
+    "qap-inf-distance": (
+        "qap", QAP_GOLDEN.replace("0 2\n", "0 inf\n"), NonFiniteValue,
+        "distance matrix must be finite, got inf",
+    ),
+    "knapsack-nan-profit": (
+        "knapsack", MKNAP_GOLDEN.replace("10 20 30", "10 nan 30"), NonFiniteValue,
+        "profits must be finite, got nan",
+    ),
+    "knapsack-inf-capacity": (
+        "knapsack", MKNAP_GOLDEN.replace("4 4", "4 inf"), NonFiniteValue,
+        "capacities must be finite, got inf",
+    ),
+    "road-nan-distance": (
+        "roadnet", ROAD_GOLDEN.replace("1 2 10 3", "1 2 nan 3"), NonFiniteValue,
+        "edge weights must be finite, got nan",
+    ),
+    "road-inf-velocity": (
+        "roadnet", ROAD_GOLDEN.replace("10 1 3", "inf 1 3"), NonFiniteValue,
+        "velocity must be finite, got inf",
+    ),
 }
+NON_FINITE_CASES = [case for case in MALFORMED if "-nan-" in case or "-inf-" in case]
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -403,7 +448,7 @@ def test_malformed_input_is_rejected(case):
 
 @pytest.mark.parametrize("case", [
     "tsp-repeated-index", "tsp-fractional-index", "qap-size-zero", "road-repeated-node",
-    "road-repeated-edge"])
+    "road-repeated-edge", *NON_FINITE_CASES])
 def test_parse_check_exits_two_on_malformed_input(case, tmp_path, capsys):
     from ghosa.cli import entrypoint
 

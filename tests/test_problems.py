@@ -25,6 +25,7 @@ from ghosa.errors import (
     InstanceError,
     InvalidPermutation,
     InvalidTour,
+    NonFiniteValue,
     NonPositiveVelocity,
     ThresholdOutOfRange,
     UnknownNodeReference,
@@ -38,6 +39,38 @@ from conftest import grid_roadnet, random_roadnet
 def score(problem, sequence) -> float:
     """One sequence's fitness through the problem's scoring call."""
     return float(problem.evaluate_batch(np.asarray(sequence)[None, :])[0])
+
+
+def two_node_road(velocity=1.0, weights=(1.0, 0.0), resource=0.5, cap=1.0):
+    return RoadNetwork(
+        nodes=[1, 2], edges={(1, 2): weights}, velocity=velocity, source=1, destination=2,
+        resources={(1, 2): [resource]}, caps=[cap],
+    )
+
+
+# one constructor per instance number; a NaN passes every ``< 0`` or ``<= 0`` check
+NON_FINITE = {
+    "tsp-coords": lambda v: TspInstance(n=2, coords=[[0.0, 0.0], [v, 1.0]]),
+    "tsp-matrix": lambda v: TspInstance(n=2, metric="EXPLICIT", matrix=[[0.0, v], [v, 0.0]]),
+    "qap-flow": lambda v: QapInstance(n=2, flow=[[0, v], [1, 0]], dist=np.ones((2, 2))),
+    "qap-dist": lambda v: QapInstance(n=2, flow=np.ones((2, 2)), dist=[[0, 1], [v, 0]]),
+    "knapsack-profit": lambda v: KnapsackInstance(1, 2, [v, 1], [[1, 1]], [1]),
+    "knapsack-weight": lambda v: KnapsackInstance(1, 2, [1, 1], [[1, v]], [1]),
+    "knapsack-capacity": lambda v: KnapsackInstance(1, 2, [1, 1], [[1, 1]], [v]),
+    "road-velocity": lambda v: two_node_road(velocity=v),
+    "road-distance": lambda v: two_node_road(weights=(v, 0.0)),
+    "road-waiting": lambda v: two_node_road(weights=(1.0, v)),
+    "road-resource": lambda v: two_node_road(resource=v),
+    "road-cap": lambda v: two_node_road(cap=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_instances_reject_non_finite_numbers(case, value):
+    with pytest.raises(NonFiniteValue, match="must be finite"):
+        NON_FINITE[case](value)
+    NON_FINITE[case](1.0)  # the same instance with a finite number builds
 
 
 class TestTsp:

@@ -191,6 +191,20 @@ def test_discrete_evaluate_batch_is_batch_fitness_and_draws_nothing(kind, rng):
     assert got.tobytes() == problem.batch_fitness(rows).tobytes()
 
 
+@pytest.mark.parametrize("make, changed", [
+    (lambda rng: TspProblem(random_tsp(rng, n=6)), None),
+    (lambda rng: QapProblem(random_qap(rng, n=5)), None),
+    (lambda rng: KnapsackProblem(random_knapsack(rng), "sweep"), None),
+    (lambda rng: KnapsackProblem(random_knapsack(rng), "fixed:3"), None),
+    (lambda rng: KnapsackProblem(random_knapsack(rng), "random"), True),
+    (lambda rng: RoadNetworkProblem(random_roadnet(rng)), False),
+    (lambda rng: RoadNetworkProblem(random_roadnet(rng), awt_noise=0.5), True),
+], ids=["tsp", "qap", "sweep", "fixed", "random", "road", "noisy-road"])
+def test_prepare_iteration_says_whether_scores_moved(make, changed, rng):
+    """The engine re-scores its incumbents exactly when this hook returns True."""
+    assert make(rng).prepare_iteration(rng) is changed
+
+
 def test_f12_noise_is_one_draw_per_row_on_the_plain_quartic():
     f = benchmark_function("f12")
     x = f.initial_population(np.random.default_rng(5), 7)
