@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue
+from .errors import ConfigError, InstanceError, NonFiniteValue
 
 
 @dataclass(eq=False, repr=False)
@@ -172,9 +172,14 @@ def check_number(value, name: str) -> float:
     return float(value)
 
 
-def check_finite(values, what: str) -> np.ndarray:
-    """``values`` as a float array; a NaN or infinite entry is a NonFiniteValue."""
+def check_finite(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinite entry is a NonFiniteValue.
+    With ``shape`` given, another shape or an empty array is an InstanceError."""
     values = np.asarray(values, dtype=float)
+    if shape is not None and values.shape != shape:
+        raise InstanceError(f"{what} must have shape {shape}, got {values.shape}")
+    if shape is not None and values.size == 0:
+        raise InstanceError(f"{what} must not be empty, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"{what} must be finite, got {values[~np.isfinite(values)][0]}")
     return values

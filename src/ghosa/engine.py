@@ -40,7 +40,8 @@ class GhosaOptimizer(GhosaBase):
     ``best_fitness_`` and the per-iteration ``trace_``, the final population
     in ``population_`` and ``population_fitness_``.  ``trace_components_``
     holds, per iteration, the problem's ``component_values`` of the latest
-    global best that has them, or None.  ``evaluations_`` counts every row
+    global best that has them (one dict, shared by the iterations that keep
+    it), or None.  ``evaluations_`` counts every row
     scored, including the re-scores that ``prepare_iteration`` asks for.
     """
 
@@ -106,14 +107,10 @@ class GhosaOptimizer(GhosaBase):
                 problem, rng, sequences, fitness, candidates, cand_fitness, best, sign
             )
 
-            if best is not previous_best:
-                got = problem.component_values(best[0])
-                if got is not None:
-                    last_components = got
             # None until a global best with components appears
-            self.trace_components_.append(
-                dict(last_components) if last_components is not None else None
-            )
+            if best is not previous_best:
+                last_components = problem.component_values(best[0]) or last_components
+            self.trace_components_.append(last_components)
             self.best_sequence_, best_fitness = best
             self.population_, self.population_fitness_ = sequences, fitness
             yield best_fitness

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -178,6 +179,8 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
         check_int_at_least(self.runs, 1, "runs")
         check_int_at_least(self.workers, 1, "workers")
+        if self.dim is not None:  # its range, a dimension or a bundle index, is the problem's
+            check_int_at_least(self.dim, -math.inf, "dim")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         kind = KINDS[self.problem]

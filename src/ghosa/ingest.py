@@ -23,6 +23,7 @@ from .errors import (
     CountMismatch,
     DimensionMismatch,
     DuplicateEdge,
+    InstanceError,
     MissingHeaderField,
     NonNumericToken,
     ParseError,
@@ -339,6 +340,8 @@ def parse_roadnet(text: str) -> RoadNetwork:
 
 
 def serialize_roadnet(net: RoadNetwork) -> str:
+    if net.caps is not None:
+        raise InstanceError("the road format cannot hold resources or caps")
     lines = [" ".join(str(n) for n in net.nodes)]
     for (u, v), weights in sorted(net.edges.items()):
         lines.append(f"{u} {v} {_numbers(weights)}")

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ..base import check_int_at_least
 from ..errors import ConfigError, DimensionMismatch, OutOfBounds
 
 
@@ -289,10 +290,8 @@ class BenchmarkFunction:
         fn, default_dim, scalable, bounds, optimum, optimizer, label = _REGISTRY[fid]
         if dim is None:
             dim = default_dim
-        elif not scalable and dim != default_dim:
+        elif check_int_at_least(dim, 1, f"{fid} dimension") != default_dim and not scalable:
             raise ConfigError(f"{fid} has fixed dimension {default_dim}")
-        elif dim < 1:
-            raise ConfigError(f"{fid} needs a dimension >= 1, got {dim}")
         self.fid = fid
         self.name = f"{fid} ({label})"
         self.dimension = dim

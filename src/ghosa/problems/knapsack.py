@@ -29,23 +29,13 @@ class KnapsackInstance:
     name: str = ""
 
     def __post_init__(self):
-        self.profit = check_finite(self.profit, "profits")
-        self.weight = check_finite(self.weight, "weights")
-        self.capacity = check_finite(self.capacity, "capacities")
-        if self.profit.shape != (self.n,):
-            raise InstanceError(f"expected {self.n} profits, got {self.profit.shape}")
-        if self.weight.shape != (self.m, self.n):
-            raise InstanceError(
-                f"expected {self.m}x{self.n} weights, got {self.weight.shape}"
-            )
-        if self.capacity.shape != (self.m,):
-            raise InstanceError(
-                f"expected {self.m} capacities, got {self.capacity.shape}"
-            )
-        if np.any(self.profit < 0):
-            raise InstanceError("profits must be non-negative")
-        if np.any(self.capacity < 0):
-            raise InstanceError("capacities must be non-negative")
+        self.profit = check_finite(self.profit, "profits", (self.n,))
+        self.weight = check_finite(self.weight, "weights", (self.m, self.n))
+        self.capacity = check_finite(self.capacity, "capacities", (self.m,))
+        for what, values in [("profits", self.profit), ("weights", self.weight),
+                             ("capacities", self.capacity)]:
+            if np.any(values < 0):
+                raise InstanceError(f"{what} must be non-negative")
 
 
 def knapsack_decode(intstring, threshold: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..base import check_finite, is_permutation
-from ..errors import InstanceError, InvalidPermutation
+from ..errors import InvalidPermutation
 from .core import SequenceProblem
 
 
@@ -22,13 +22,8 @@ class QapInstance:
     name: str = ""
 
     def __post_init__(self):
-        self.flow = check_finite(self.flow, "flow matrix")
-        self.dist = check_finite(self.dist, "distance matrix")
-        if self.flow.shape != (self.n, self.n) or self.dist.shape != (self.n, self.n):
-            raise InstanceError(
-                f"flow/dist must both be {self.n}x{self.n}, got "
-                f"{self.flow.shape} and {self.dist.shape}"
-            )
+        self.flow = check_finite(self.flow, "flow matrix", (self.n, self.n))
+        self.dist = check_finite(self.dist, "distance matrix", (self.n, self.n))
 
 
 def qap_cost(inst: QapInstance, perm) -> float:

@@ -64,7 +64,10 @@ class RoadNetwork:
             raise InstanceError("resources and caps must be given together")
         if self.caps is not None:
             self.caps = check_finite(self.caps, "caps")
-            self.resources = {e: check_finite(r, "resources") for e, r in self.resources.items()}
+            self.resources = {
+                e: check_finite(r, f"resources of edge {e}", self.caps.shape)
+                for e, r in self.resources.items()
+            }
 
     def adjacency(self) -> dict[int, list[int]]:
         """Out-neighbours of each node, in increasing node id."""

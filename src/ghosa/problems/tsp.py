@@ -65,17 +65,11 @@ class TspInstance:
         if self.metric not in SUPPORTED_METRICS:
             raise UnsupportedEdgeWeightType(f"metric {self.metric!r} not supported")
         if self.coords is not None:
-            self.coords = check_finite(self.coords, "coordinates")
-            if self.coords.shape != (self.n, 2):
-                raise InstanceError(
-                    f"expected {self.n} coordinate pairs, got {self.coords.shape}"
-                )
+            self.coords = check_finite(self.coords, "coordinates", (self.n, 2))
         if self.metric == "EXPLICIT":
             if self.matrix is None:
                 raise InstanceError("EXPLICIT metric requires a distance matrix")
-            self.matrix = check_finite(self.matrix, "distance matrix")
-            if self.matrix.shape != (self.n, self.n):
-                raise InstanceError("distance matrix shape does not match n")
+            self.matrix = check_finite(self.matrix, "distance matrix", (self.n, self.n))
         elif self.coords is None:
             raise InstanceError(f"{self.metric} metric requires coordinates")
 

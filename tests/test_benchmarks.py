@@ -323,6 +323,15 @@ def test_fixed_dimension_enforced():
         benchmark_function("f6", dim=5)
 
 
+@pytest.mark.parametrize("fid, dim", [
+    ("f1", 2.5), ("f1", 2.0), ("f1", True), ("f1", "3"), ("f1", 0), ("f6", 2.0),
+])
+def test_dimension_must_be_a_positive_integer(fid, dim):
+    with pytest.raises(ConfigError, match=f"{fid} dimension must be"):
+        benchmark_function(fid, dim)
+    assert benchmark_function("f1", np.int64(3)).dimension == 3
+
+
 def test_scalable_dimension_honored():
     f = benchmark_function("f1", dim=3)
     assert f.dimension == 3

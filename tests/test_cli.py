@@ -214,6 +214,15 @@ def test_parse_check_non_integral_optimum_exits_two(capsys, tmp_path):
     assert "declared optimum inf is not an integer" in err
 
 
+def test_parse_check_negative_weight_exits_two(capsys, tmp_path):
+    bundle = tmp_path / "negative.txt"
+    bundle.write_text("1\n3 1 0\n10 20 30\n1 -3 2\n4\n")
+    code, _, err = run_cli(capsys, "parse-check", "--problem", "knapsack",
+                           "--instance", str(bundle))
+    assert code == 2
+    assert "weights must be non-negative" in err
+
+
 def test_failed_run_exits_three(capsys, monkeypatch):
     # a problem that raises only when a run scores its first rows
     broken = benchmark_function("f18")

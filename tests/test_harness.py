@@ -95,6 +95,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(problem="benchmark", instance="f6", **{field: value})
 
+    @pytest.mark.parametrize("problem,dim", [
+        ("benchmark", 2.5), ("benchmark", True), ("knapsack", 2.0), ("knapsack", "2"),
+    ])
+    def test_dim_must_be_an_integer(self, problem, dim):
+        # fails here, not as a TypeError in the runs; the range is the problem's
+        with pytest.raises(ConfigError, match="dim must be"):
+            ExperimentConfig(problem=problem, instance="x", dim=dim)
+        ExperimentConfig(problem=problem, instance="x", dim=0)
+
     @pytest.mark.parametrize("problem,option,value", [
         ("qap", "metric_override", "euclid"),
         ("tsp", "threshold_policy", "random"),

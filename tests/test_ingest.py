@@ -299,6 +299,18 @@ class TestRoadnet:
         assert again.edges == net.edges
         assert again.nodes == net.nodes
 
+    def test_golden_text(self):
+        # edges sorted, every number written as a float repr
+        text = serialize_roadnet(parse_roadnet(ROAD_GOLDEN))
+        assert text == "1 2 3\n1 2 10.0 3.0\n1 3 35.0 0.0\n2 3 10.0 2.0\n10.0 1 3\n"
+
+    def test_capped_network_is_not_written(self):
+        # the format has no line for them: dropping them would read back uncapped
+        net = parse_roadnet(ROAD_GOLDEN)
+        net.resources, net.caps = {(1, 3): np.array([2.0])}, np.array([1.0])
+        with pytest.raises(InstanceError, match="cannot hold resources or caps"):
+            serialize_roadnet(net)
+
     def test_two_node_single_edge(self):
         net = parse_roadnet("1 2\n1 2 5 1\n2 1 2\n")
         assert len(net.edges) == 1

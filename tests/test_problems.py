@@ -9,6 +9,7 @@ from ghosa import (
     KnapsackInstance,
     KnapsackProblem,
     QapInstance,
+    QapProblem,
     RoadNetwork,
     RoadNetworkProblem,
     TspInstance,
@@ -73,6 +74,35 @@ def test_instances_reject_non_finite_numbers(case, value):
     NON_FINITE[case](1.0)  # the same instance with a finite number builds
 
 
+def capped_road(resource):
+    return RoadNetwork(
+        nodes=[1, 2], edges={(1, 2): (1.0, 0.0)}, velocity=1.0, source=1, destination=2,
+        resources={(1, 2): resource}, caps=[1.0, 1.0],
+    )
+
+
+# one problem per empty or misshapen instance array
+MISSHAPEN = {
+    "tsp-no-cities": lambda: TspProblem(TspInstance(n=0, coords=np.zeros((0, 2)))),
+    "tsp-empty-matrix": lambda: TspProblem(
+        TspInstance(n=0, metric="EXPLICIT", matrix=np.zeros((0, 0)))),
+    "qap-no-facilities": lambda: QapProblem(
+        QapInstance(n=0, flow=np.zeros((0, 0)), dist=np.zeros((0, 0)))),
+    "knapsack-no-items": lambda: KnapsackProblem(KnapsackInstance(1, 0, [], [[]], [1])),
+    "knapsack-no-constraints": lambda: KnapsackProblem(
+        KnapsackInstance(0, 2, [1, 1], np.zeros((0, 2)), [])),
+    "road-short-resource": lambda: RoadNetworkProblem(capped_road([0.5])),
+    "road-long-resource": lambda: RoadNetworkProblem(capped_road([0.5, 0.5, 0.5])),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSHAPEN))
+def test_misshapen_instances_fail_before_any_fit(case):
+    # the constructor raises, so no fit meets a bare IndexError or numpy error
+    with pytest.raises(InstanceError, match="must have shape|must not be empty"):
+        GhosaOptimizer(population_size=4, iterations=3, seed=0).fit(MISSHAPEN[case]())
+
+
 class TestTsp:
     def test_unit_square_perimeter(self, unit_square_tsp):
         assert tsp_tour_length(unit_square_tsp, [1, 2, 3, 4]) == pytest.approx(4.0)
@@ -94,7 +124,7 @@ class TestTsp:
 
     @pytest.mark.parametrize("fields, error, match", [
         ({"metric": "MAN_2D"}, UnsupportedEdgeWeightType, "MAN_2D"),
-        ({"coords": np.zeros((2, 2))}, InstanceError, "coordinate pairs"),
+        ({"coords": np.zeros((2, 2))}, InstanceError, "coordinates must have shape"),
         ({"metric": "EXPLICIT"}, InstanceError, "requires a distance matrix"),
         ({"metric": "EXPLICIT", "matrix": np.zeros((2, 2))}, InstanceError, "shape"),
         ({"coords": None}, InstanceError, "EUC_2D metric requires coordinates"),
@@ -362,6 +392,10 @@ class TestKnapsackProfit:
         valid = dict(m=2, n=3, profit=[1, 2, 3], weight=np.ones((2, 3)), capacity=[4, 4])
         with pytest.raises(InstanceError, match=match):
             KnapsackInstance(**{**valid, **fields})
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(InstanceError, match="weights must be non-negative"):
+            KnapsackInstance(m=1, n=3, profit=[1, 2, 3], weight=[[1, -3, 1]], capacity=[4])
 
     def test_matches_exhaustive_maximum_n10(self, rng):
         inst = KnapsackInstance(
