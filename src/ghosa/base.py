@@ -174,8 +174,12 @@ def check_number(value, name: str) -> float:
 
 def check_finite(values, what: str, shape: tuple | None = None) -> np.ndarray:
     """``values`` as a float array; a NaN or infinite entry is a NonFiniteValue.
-    With ``shape`` given, another shape or an empty array is an InstanceError."""
-    values = np.asarray(values, dtype=float)
+    With ``shape`` given, another shape or an empty array is an InstanceError, as is
+    a value that reads as no float array (a word, or rows of unequal length)."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{what} must be an array of numbers: {exc}") from None
     if shape is not None and values.shape != shape:
         raise InstanceError(f"{what} must have shape {shape}, got {values.shape}")
     if shape is not None and values.size == 0:

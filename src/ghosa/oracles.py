@@ -1,9 +1,9 @@
 """Exact solvers for small instances, used to validate heuristic output.
 
 Each oracle exhaustively enumerates (or exactly solves) its instance class
-below a size ceiling and returns the true optimum, one optimizer, and the
-number of states explored.  A line-oriented cache keyed by instance
-checksum lets repeated validation runs skip the enumeration.
+below a size or search ceiling and returns the true optimum, one optimizer,
+and the number of states explored.  A line-oriented cache keyed by instance
+checksum lets repeated validation runs skip the search.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from .errors import Disconnected, ParseError, TooLarge
 from .problems import KnapsackInstance, QapInstance, RoadNetwork, TspInstance
 from .problems.knapsack import knapsack_profit
 from .problems.roadnet import road_fitness
+
+#: labels ``exact_shortest_paths`` pops before it gives up with ``TooLarge``
+MAX_LABELS = 20_000
 
 
 @dataclass
@@ -125,75 +129,54 @@ def exact_knapsack(inst: KnapsackInstance, max_n: int = 22) -> OracleResult:
     raise TooLarge(f"exhaustive knapsack limited to n <= {max_n} (or m == 1), got n={n}")
 
 
-def exact_shortest_paths(net: RoadNetwork, max_nodes_exhaustive: int = 15) -> OracleResult:
-    """Minimum combined travel+waiting path from source to destination.
+def exact_shortest_paths(net: RoadNetwork) -> OracleResult:
+    """Minimum combined travel+waiting path from source to destination within the caps.
 
-    Small networks get an exhaustive simple-path enumeration (honoring
-    resource caps); larger cap-free networks use a label-setting search.
+    One label-setting search (Desrochers and Soumis, INFOR 26(3), 1988): a label
+    is (cost, resources used, node, parent) and labels pop in cost order.  An
+    extension that breaks a cap is dropped, and so is a label when a kept label
+    at its node has no more of every resource (and, popped earlier, no more
+    cost).  Costs and resources are non-negative, so the first label popped at
+    the destination is an optimal simple path; without caps this is Dijkstra.
+    More than ``MAX_LABELS`` pops raise ``TooLarge``.
     """
-    n = len(net.nodes)
-    if n <= max_nodes_exhaustive:
-        adj = net.adjacency()
-        best = [np.inf, None]
-        explored = 0
-
-        def walk(node, visited, path):
-            nonlocal explored
-            if node == net.destination:
-                explored += 1
-                if net.path_feasible(path):
-                    _, _, f = road_fitness(net, path)
-                    if f < best[0]:
-                        best[0] = f
-                        best[1] = list(path)
-                return
-            for nxt in adj[node]:
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                path.append(nxt)
-                walk(nxt, visited, path)
-                path.pop()
-                visited.remove(nxt)
-
-        walk(net.source, {net.source}, [net.source])
-        if best[1] is None:
-            raise Disconnected(
-                f"no feasible path {net.source} -> {net.destination}"
-            )
-        return OracleResult(float(best[0]), best[1], explored)
-
-    if net.caps is not None:
-        raise TooLarge(
-            "resource caps require exhaustive search, limited to "
-            f"{max_nodes_exhaustive} nodes"
-        )
-    adj = net.adjacency()
-    dist = {node: np.inf for node in net.nodes}
-    prev: dict[int, int] = {}
-    dist[net.source] = 0.0
-    heap = [(0.0, net.source)]
-    explored = 0
+    caps = () if net.caps is None else tuple(net.caps.tolist())
+    unused = (0.0,) * len(caps)
+    resources = net.resources or {}
+    arcs: dict[int, list] = {node: [] for node in net.nodes}
+    for (u, v), (d, awt) in net.edges.items():
+        r = resources.get((u, v))
+        arcs[u].append((v, d / net.velocity + awt, unused if r is None else tuple(r.tolist())))
+    kept: dict[int, list] = {node: [] for node in net.nodes}
+    le, add = operator.le, operator.add
+    order = itertools.count(1)
+    heap = [(0.0, 0, unused, net.source, None)]
+    popped = 0
     while heap:
-        f, node = heapq.heappop(heap)
-        explored += 1
-        if f > dist[node]:
-            continue
+        label = heapq.heappop(heap)
+        cost, _, used, node, _ = label
+        popped += 1
+        if popped > MAX_LABELS:
+            raise TooLarge(f"label-setting search limited to {MAX_LABELS} labels")
+        if any(all(map(le, k, used)) for k in kept[node]):
+            continue  # dominated since it was pushed
         if node == net.destination:
-            break
-        for nxt in adj[node]:
-            d, awt = net.edges[(node, nxt)]
-            g = f + d / net.velocity + awt
-            if g < dist[nxt]:
-                dist[nxt] = g
-                prev[nxt] = node
-                heapq.heappush(heap, (g, nxt))
-    if not np.isfinite(dist[net.destination]):
-        raise Disconnected(f"no path {net.source} -> {net.destination}")
-    path = [net.destination]
-    while path[-1] != net.source:
-        path.append(prev[path[-1]])
-    return OracleResult(float(dist[net.destination]), path[::-1], explored)
+            path = []
+            while label is not None:
+                path.append(label[3])
+                label = label[4]
+            path.reverse()
+            return OracleResult(road_fitness(net, path)[2], path, popped)
+        kept[node].append(used)
+        for v, c, r in arcs[node]:
+            r = tuple(map(add, used, r))
+            if all(map(le, r, caps)):
+                for k in kept[v]:  # a for-else: no generator per arc
+                    if all(map(le, k, r)):
+                        break  # dominated
+                else:
+                    heapq.heappush(heap, (cost + c, next(order), r, v, label))
+    raise Disconnected(f"no feasible path {net.source} -> {net.destination}")
 
 
 class OracleCache:

@@ -54,8 +54,8 @@ class RoadNetwork:
         for endpoint in (self.source, self.destination):
             if endpoint not in node_set:
                 raise UnknownNodeReference(f"endpoint {endpoint} not among nodes")
-        check_finite(list(self.edges.values()), "edge weights")
-        for (u, v), (d, awt) in self.edges.items():
+        weights = check_finite(list(self.edges.values()), "edge weights", (len(self.edges), 2))
+        for (u, v), (d, awt) in zip(self.edges, weights):
             if u not in node_set or v not in node_set:
                 raise UnknownNodeReference(f"edge ({u}, {v}) references unknown node")
             if d < 0 or awt < 0:
@@ -64,10 +64,15 @@ class RoadNetwork:
             raise InstanceError("resources and caps must be given together")
         if self.caps is not None:
             self.caps = check_finite(self.caps, "caps")
+            if np.any(self.caps < 0):
+                raise InstanceError(f"caps must be non-negative, got {self.caps}")
             self.resources = {
                 e: check_finite(r, f"resources of edge {e}", self.caps.shape)
                 for e, r in self.resources.items()
             }
+            for e, r in self.resources.items():
+                if np.any(r < 0):
+                    raise InstanceError(f"edge {e} has a negative resource")
 
     def adjacency(self) -> dict[int, list[int]]:
         """Out-neighbours of each node, in increasing node id."""

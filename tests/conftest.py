@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ghosa import KnapsackInstance, QapInstance, RoadNetwork, TspInstance
+from ghosa.problems.roadnet import road_fitness
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -52,6 +53,32 @@ def grid_roadnet(rng, k=10):
     return RoadNetwork(
         nodes=list(range(1, k * k + 1)), edges=edges, velocity=1.0, source=1, destination=k * k
     )
+
+
+def enumerate_road_optimum(net):
+    """(optimum, path) over every simple source -> destination path the caps admit,
+    by exhaustive enumeration; (inf, None) when there is none.  The reference for
+    ``oracles.exact_shortest_paths``."""
+    adj = net.adjacency()
+    best = [np.inf, None]
+
+    def walk(node, visited, path):
+        if node == net.destination:
+            if net.path_feasible(path):
+                f = road_fitness(net, path)[2]
+                if f < best[0]:
+                    best[:] = [f, list(path)]
+            return
+        for nxt in adj[node]:
+            if nxt not in visited:
+                visited.add(nxt)
+                path.append(nxt)
+                walk(nxt, visited, path)
+                path.pop()
+                visited.remove(nxt)
+
+    walk(net.source, {net.source}, [net.source])
+    return tuple(best)
 
 
 @pytest.fixture

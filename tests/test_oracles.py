@@ -3,8 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, random_knapsack, random_qap, random_roadnet, random_tsp
+from conftest import (
+    FIXTURES,
+    enumerate_road_optimum,
+    grid_roadnet,
+    random_knapsack,
+    random_qap,
+    random_roadnet,
+    random_tsp,
+)
 from ghosa import KnapsackInstance, QapInstance, RoadNetwork, TspInstance, tsp_tour_length
+from ghosa import oracles
 from ghosa.cli import entrypoint
 from ghosa.errors import Disconnected, ParseError, TooLarge
 from ghosa.oracles import (
@@ -14,6 +23,18 @@ from ghosa.oracles import (
     exact_knapsack,
     exact_shortest_paths,
 )
+from ghosa.problems.roadnet import road_fitness
+
+
+def with_resources(net, rng, caps, resources=None):
+    """``net`` with ``resources`` (default: uniform [0, 1) draws per edge, one per
+    cap) under ``caps``."""
+    caps = np.asarray(caps, dtype=float)
+    if resources is None:
+        resources = {e: rng.uniform(0.0, 1.0, size=caps.shape) for e in net.edges}
+    return RoadNetwork(nodes=net.nodes, edges=net.edges, velocity=net.velocity,
+                       source=net.source, destination=net.destination,
+                       resources=resources, caps=caps)
 
 
 class TestBruteForceTsp:
@@ -136,11 +157,55 @@ class TestExactShortestPaths:
         assert result.optimizer == [1, 3, 4]
         assert result.optimum == pytest.approx(4.0)
 
-    def test_label_search_agrees_with_enumeration(self, rng):
-        net = random_roadnet(rng, n=12)
-        exhaustive = exact_shortest_paths(net, max_nodes_exhaustive=15)
-        dijkstra = exact_shortest_paths(net, max_nodes_exhaustive=5)
-        assert dijkstra.optimum == pytest.approx(exhaustive.optimum)
+    def test_label_search_agrees_with_enumeration(self):
+        # 40 random 12-node networks, each cap-free and with two uniform
+        # resources per edge under caps of 1.5
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            free = random_roadnet(rng, n=12)
+            for net in (free, with_resources(free, rng, caps=[1.5, 1.5])):
+                reference, _ = enumerate_road_optimum(net)
+                if reference == np.inf:
+                    with pytest.raises(Disconnected):
+                        exact_shortest_paths(net)
+                    continue
+                result = exact_shortest_paths(net)
+                path = result.optimizer
+                assert result.optimum == pytest.approx(reference, rel=1e-9, abs=0), seed
+                assert len(set(path)) == len(path), seed
+                assert net.path_feasible(path), seed
+                assert road_fitness(net, path)[2] == result.optimum, seed
+
+    def test_zero_cost_cycle_yields_a_simple_path(self):
+        # 1 <-> 2 costs nothing and uses nothing, so every lap ties with no lap
+        edges = {(1, 2): (0.0, 0.0), (2, 1): (0.0, 0.0), (2, 3): (1.0, 0.0)}
+        for resources, caps in [(None, None), ({e: np.zeros(1) for e in edges}, np.ones(1))]:
+            net = RoadNetwork(nodes=[1, 2, 3], edges=edges, velocity=1.0, source=1,
+                              destination=3, resources=resources, caps=caps)
+            result = exact_shortest_paths(net)
+            assert result.optimizer == [1, 2, 3]
+            assert result.optimum == 1.0
+
+    def test_capped_grid_costs_at_least_the_uncapped_optimum(self):
+        # a grid whose caps admit some path (others at 0.9 admit none)
+        rng = np.random.default_rng(0)
+        free = grid_roadnet(rng, k=10)
+        resources = {e: rng.uniform(0.0, 1.0, size=2) for e in free.edges}
+        uncapped = exact_shortest_paths(free)
+        path = uncapped.optimizer
+        used = sum(resources[e] for e in zip(path[:-1], path[1:]))
+        capped = with_resources(free, rng, caps=0.9 * used, resources=resources)
+        result = exact_shortest_paths(capped)
+        assert result.optimum >= uncapped.optimum
+        assert capped.path_feasible(result.optimizer)
+        assert not capped.path_feasible(path)
+
+    def test_label_limit_raises_too_large(self, rng, monkeypatch):
+        net = grid_roadnet(rng, k=5)
+        assert exact_shortest_paths(net).nodes_explored > 10
+        monkeypatch.setattr(oracles, "MAX_LABELS", 10)
+        with pytest.raises(TooLarge, match="10 labels"):
+            exact_shortest_paths(net)
 
     def test_disconnected(self):
         net = RoadNetwork(
@@ -149,9 +214,6 @@ class TestExactShortestPaths:
         )
         with pytest.raises(Disconnected):
             exact_shortest_paths(net)
-        # beyond max_nodes_exhaustive the label-setting search runs instead
-        with pytest.raises(Disconnected):
-            exact_shortest_paths(net, max_nodes_exhaustive=2)
 
     def test_resource_caps_prune_cheap_path(self, toy_roadnet):
         capped = RoadNetwork(
@@ -165,9 +227,6 @@ class TestExactShortestPaths:
         )
         result = exact_shortest_paths(capped)
         assert result.optimizer != [1, 3, 4]
-        # the label-setting search cannot honour caps
-        with pytest.raises(TooLarge, match="resource caps"):
-            exact_shortest_paths(capped, max_nodes_exhaustive=3)
 
 
 class TestOracleCache:

@@ -34,7 +34,7 @@ from ghosa.errors import (
     WrongEndpoints,
 )
 from ghosa.problems.roadnet import INFEASIBLE_FITNESS, WALK_CACHE_ROWS
-from conftest import grid_roadnet, random_roadnet
+from conftest import enumerate_road_optimum, grid_roadnet, random_roadnet
 
 
 def score(problem, sequence) -> float:
@@ -478,23 +478,10 @@ class TestRoadFitness:
         assert f == pytest.approx(f1 + f2)
 
     def test_six_node_minimum_matches_enumeration(self, rng):
-        from conftest import random_roadnet
         from ghosa.oracles import exact_shortest_paths
 
         net = random_roadnet(rng, n=6)
-        adj = net.adjacency()
-        best = [math.inf]
-
-        def dfs(node, seen, path):
-            if node == net.destination:
-                best[0] = min(best[0], road_fitness(net, path)[2])
-                return
-            for nxt in adj[node]:
-                if nxt not in seen:
-                    dfs(nxt, seen | {nxt}, path + [nxt])
-
-        dfs(net.source, {net.source}, [net.source])
-        assert exact_shortest_paths(net).optimum == pytest.approx(best[0])
+        assert exact_shortest_paths(net).optimum == pytest.approx(enumerate_road_optimum(net)[0])
 
     def test_wrong_endpoints(self, toy_roadnet):
         with pytest.raises(WrongEndpoints):
@@ -521,6 +508,15 @@ class TestRoadFitness:
         ({"edges": {(1, 2): (-1.0, 0.0)}}, InstanceError, "negative weight"),
         ({"edges": {(1, 2): (1.0, -0.5)}}, InstanceError, "negative weight"),
         ({"caps": np.array([1.0])}, InstanceError, "given together"),
+        ({"edges": {(1, 2): (1.0,), (2, 3): (1.0,)}}, InstanceError, r"shape \(2, 2\)"),
+        ({"edges": {(1, 2): (1.0, 0.0, 2.0)}}, InstanceError, r"shape \(1, 2\)"),
+        ({"edges": {(1, 2): (1.0,), (2, 3): (1.0, 0.0)}}, InstanceError, "array of numbers"),
+        # no edge can carry a route from source to destination
+        ({"edges": {}}, InstanceError, r"edge weights must have shape \(0, 2\)"),
+        ({"resources": {(1, 2): np.array([1.0]), (2, 3): np.array([-0.5])},
+          "caps": np.array([2.0])}, InstanceError, r"edge \(2, 3\) has a negative resource"),
+        ({"resources": {(1, 2): np.array([1.0])}, "caps": np.array([-1.0])},
+         InstanceError, "caps must be non-negative"),
     ])
     def test_malformed_network_rejected(self, fields, error, match):
         valid = dict(nodes=[1, 2, 3], edges={(1, 2): (1.0, 0.0), (2, 3): (1.0, 0.0)},
