@@ -144,7 +144,7 @@ class GhosaBase(PopulationOptimizer):
         count = int(self.replace_fraction * self.population_size // 100)
         if not count:
             return best, np.arange(0)
-        worst = np.argsort(sign * fitness, kind="stable")[len(fitness) - count :]
+        worst = (sign * fitness).argsort(kind="stable")[len(fitness) - count :]
         rows[worst], fitness[worst] = self._fresh(problem, rng, count)
         return best_of(rows, fitness, best, sign), worst
 
@@ -158,7 +158,7 @@ def categorical_cdf(p) -> np.ndarray:
 
 def best_of(rows, fitness, best=None, sign: float = 1.0):
     """``(row copy, fitness)`` of the first best row, or ``best`` if no row beats it."""
-    i = int(np.argmin(sign * fitness))
+    i = int((sign * fitness).argmin())
     if best is not None and not sign * fitness[i] < sign * best[1]:
         return best
     return rows[i].copy(), float(fitness[i])

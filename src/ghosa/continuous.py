@@ -86,7 +86,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
             # change-of-position: each row takes its cheapest slot in the window
             costs = self._score(problem.placement_cost, x, baits=bait_u,
                                 positions=window + offset)
-            positions = offset + np.argmin(costs, axis=1)
+            positions = offset + costs.argmin(axis=1)
             baits = problem.lo[positions] + bait_u * problem.span[positions]
 
             shifts = unrotated

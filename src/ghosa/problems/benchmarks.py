@@ -334,10 +334,11 @@ class BenchmarkFunction:
             return self.fn(x) + rng.random(len(x))
         if self._scan is None or x is not self._scan[0]:
             return self.fn(x)
-        # the block is copies of the scanned rows with baits put in: equal values have
-        # equal terms, and the row sums run over the same (k*N, D) array as fn's
+        # the block is the scanned rows once per column with baits put in: equal values
+        # have equal terms, and the row sums run over the same (k*N, D) array as fn's
         _, baited, bait_terms, base = self._scan
-        terms = np.tile(base, (len(x) // len(base), 1))
+        terms = np.empty(x.shape)
+        terms.reshape(-1, *base.shape)[...] = base
         terms.put(baited, bait_terms)
         return terms.sum(axis=1)
 
@@ -348,10 +349,12 @@ class BenchmarkFunction:
         scores row i with ``lo[p] + baits[i] * span[p]`` at slot
         ``p = positions[i, j]``; zero rows give a ``(0, width)`` array.  Window
         columns are stacked into trial blocks of at most ``TRIAL_BLOCK_ENTRIES``
-        entries (one whole column when a column is larger): a block is copies of
-        ``x``, one per column, with one ``put``, marked read-only and scored by one
-        ``evaluate_batch`` call.  Rastrigin's scan takes the terms of ``x`` and of
-        every bait value once, so a block's score needs no new term.
+        entries (one whole column when a column is larger): a block is ``x``
+        broadcast once per column into an empty array, its baits set with one
+        ``put``, marked read-only and scored by one ``evaluate_batch`` call.
+        Rastrigin's scan takes the terms of ``x`` once and one bait term per row,
+        since its box is the same in every coordinate, so a block's score needs
+        no new term.
         """
         x, baits, positions = self._rows(x), np.asarray(baits), np.asarray(positions)
         n, width = positions.shape
@@ -363,14 +366,16 @@ class BenchmarkFunction:
                 + np.arange(0, width * x.size, x.size)[:, None]).ravel()
         step = max(1, TRIAL_BLOCK_ENTRIES // x.size)
         if self.terms is not None:
-            base, bait_terms = self.terms(x), self.terms(values)
+            # a row's bait value is the same at every slot of a uniform box
+            base, bait_terms = self.terms(x), np.tile(self.terms(values[:n]), width)
         costs = np.empty((n, width))
         try:
             for start in range(0, width, step):
                 cols = min(step, width - start)
                 rows = slice(start * n, (start + cols) * n)
                 baited = flat[rows] - start * x.size
-                block = np.tile(x, (cols, 1))
+                block = np.empty((cols * n, self.dimension))
+                block.reshape(cols, n, -1)[...] = x
                 block.put(baited, values[rows])
                 block.flags.writeable = False
                 if self.terms is not None:

@@ -42,6 +42,9 @@ def test_box_columns_and_span(fid):
     assert np.array_equal(f.lo, f.bounds[:, 0])
     assert np.array_equal(f.hi, f.bounds[:, 1])
     assert np.array_equal(f.span, f.bounds[:, 1] - f.bounds[:, 0])
+    if f.terms is not None:
+        # a scan takes one bait term per row, the same at every slot
+        assert np.all(f.lo == f.lo[0]) and np.all(f.span == f.span[0])
 
 
 @pytest.mark.parametrize("fid", ["f23", "f24"])
@@ -103,9 +106,10 @@ def test_initial_population_is_uniform_in_the_box(fid, dim):
 SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
     ("f1", 30, None), ("f3", 30, None), ("f5", 30, None), ("f12", 30, None),
     # scans whose blocks bait every entry (d=1) or half of them (d=2)
-    ("f5", 1, None), ("f5", 2, None),
-    # the engine's input: one read-only (offset, width) window for every row
-    ("f14", None, (1, 1)), ("f5", 30, (3, 25)),
+    ("f5", 1, None), ("f5", 2, None), ("f5", 25, None),
+    # the engine's input: one read-only (offset, width) window for every row,
+    # the last as long as window_fraction=0.25 gives at d=30
+    ("f14", None, (1, 1)), ("f5", 30, (3, 25)), ("f5", 30, (11, 8)),
     # trial blocks of 45 and 15 columns, and one column that alone passes the cap
     ("f5", 60, (0, 60)), ("f5", 3000, (0, 3))]
 
@@ -192,8 +196,8 @@ def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
         f.placement_cost(x, rng.random(50), positions)
         assert sum(rows for rows, _ in shapes) == positions.size
         assert max(rows * cols for rows, cols in shapes) <= max(TRIAL_BLOCK_ENTRIES, x.size)
-        # the terms of x once, then only the baited entries
-        assert sum(recomputed) <= x.size + positions.size
+        # the terms of x once, then one bait term per row
+        assert sum(recomputed) == (x.size + len(x) if terms is not None else 0)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])

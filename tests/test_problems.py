@@ -274,6 +274,23 @@ class TestQap:
         with pytest.raises(InstanceError):
             QapInstance(n=3, flow=np.zeros((3, 3)), dist=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("kind", ["symmetric-int", "asymmetric-float"])
+    def test_batch_fitness_equals_qap_cost(self, kind, dtype, rng):
+        # uint8 rows at n = 30, on an integer and an asymmetric float instance
+        from conftest import random_qap
+
+        n = 30
+        if kind == "symmetric-int":
+            inst = random_qap(rng, n=n)
+        else:
+            inst = QapInstance(n=n, flow=rng.random((n, n)), dist=rng.random((n, n)) * 50)
+        perms = rng.permuted(np.tile(np.arange(1, n + 1), (12, 1)), axis=1)
+        got = QapProblem(inst).batch_fitness(perms.astype(dtype))
+        assert got.shape == (12,)
+        for perm, value in zip(perms, got):
+            assert value == qap_cost(inst, perm)
+
     def test_symmetric_placement_cost_is_exact_swap_delta(self, rng):
         from conftest import random_qap
         from ghosa.problems import QapProblem
