@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -98,7 +99,7 @@ def run(params, **options):
         + (f" error%={stats.error_percent:.4g}" if stats.error_percent is not None else "")
     )
     if cfg.out:
-        click.echo(f"report written to {cfg.out}.{cfg.format} (+ traces)")
+        click.echo(f"report written to {Path(cfg.out)}.{cfg.format} (+ traces)")
 
 
 @main.command()

@@ -72,8 +72,7 @@ class ContinuousGhosaOptimizer(GhosaBase):
         eps = np.full((n_agents, dim), self.eps0)
         best = best_of(x, fitness)
 
-        window_len = window_length(dim, self.window_fraction)
-        window = np.tile(np.arange(window_len), (n_agents, 1))
+        window = np.arange(window_length(dim, self.window_fraction))
         # rows of each agent's rear and front ring neighbour
         neighbours = (np.arange(n_agents) + np.array([[-1], [1]])) % n_agents
         unrotated = np.zeros(n_agents, dtype=int)
@@ -82,10 +81,10 @@ class ContinuousGhosaOptimizer(GhosaBase):
             cases = case_cdf.searchsorted(rng.random(n_agents), side="right")
             rotate = rng.random(n_agents) < self.swarm_rate
             bait_u = rng.random(n_agents)
-            offset = int(rng.integers(0, dim - window_len + 1))
-            # change-of-position: each row takes its cheapest slot in the window
+            offset = int(rng.integers(0, dim - len(window) + 1))
+            # change-of-position: each row takes its cheapest slot in the shared window
             costs = self._score(problem.placement_cost, x, baits=bait_u,
-                                positions=window + offset)
+                                slots=window + offset)
             positions = offset + costs.argmin(axis=1)
             baits = problem.lo[positions] + bait_u * problem.span[positions]
 

@@ -375,7 +375,7 @@ def _trace_series(run: dict) -> dict[str, np.ndarray]:
 
 
 def export_report(stats: RunStats, results: dict, fmt: str, out) -> list[Path]:
-    """Write the CSV/JSON report and per-run trace files; returns paths."""
+    """Write the CSV/JSON report and per-run traces at ``out`` plus a suffix; returns paths."""
     out = Path(out)
     report = results["report"]
     problem_info = report["problem"]
@@ -397,19 +397,19 @@ def export_report(stats: RunStats, results: dict, fmt: str, out) -> list[Path]:
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
-            csv_path = out.with_suffix(".csv")
+            csv_path = Path(f"{out}.csv")
             with csv_path.open("w", newline="") as fh:
                 # quotes a knapsack's "m,n" dim cell; None is written empty
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerows([CSV_COLUMNS, [row[c] for c in CSV_COLUMNS]])
             written.append(csv_path)
-        json_path = out.with_suffix(".json")
+        json_path = Path(f"{out}.json")
         json_path.write_text(json.dumps(report, indent=2, default=_jsonify))
         written.append(json_path)
         for run in results["runs"]:
             for name, values in _trace_series(run).items():
                 suffix = "" if name == "total" else f".{name}"
-                tpath = out.with_name(f"{out.stem}.run{run['seed']}{suffix}.trace")
+                tpath = Path(f"{out}.run{run['seed']}{suffix}.trace")
                 tpath.write_text("\n".join(repr(float(v)) for v in values) + "\n")
                 written.append(tpath)
     except OSError as exc:

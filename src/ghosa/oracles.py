@@ -22,7 +22,10 @@ from .problems import KnapsackInstance, QapInstance, RoadNetwork, TspInstance
 from .problems.knapsack import knapsack_profit
 from .problems.roadnet import road_fitness
 
-#: labels ``exact_shortest_paths`` pops before it gives up with ``TooLarge``
+#: instance sizes, and labels popped, past which the oracles raise ``TooLarge``
+MAX_TSP_CITIES = 10
+MAX_QAP_FACILITIES = 9
+MAX_KNAPSACK_ITEMS = 22
 MAX_LABELS = 20_000
 
 
@@ -33,11 +36,11 @@ class OracleResult:
     nodes_explored: int
 
 
-def brute_force_tsp(inst: TspInstance, max_n: int = 10) -> OracleResult:
+def brute_force_tsp(inst: TspInstance) -> OracleResult:
     """Minimum closed tour by enumerating (n-1)!/2 tours."""
     n = inst.n
-    if n > max_n:
-        raise TooLarge(f"exhaustive TSP limited to n <= {max_n}, got {n}")
+    if n > MAX_TSP_CITIES:
+        raise TooLarge(f"exhaustive TSP limited to n <= {MAX_TSP_CITIES}, got {n}")
     d = inst.distance_matrix()
     best_len = np.inf
     best_tour = None
@@ -58,11 +61,11 @@ def brute_force_tsp(inst: TspInstance, max_n: int = 10) -> OracleResult:
     )
 
 
-def brute_force_qap(inst: QapInstance, max_n: int = 9) -> OracleResult:
+def brute_force_qap(inst: QapInstance) -> OracleResult:
     """Minimum assignment cost over all n! permutations."""
     n = inst.n
-    if n > max_n:
-        raise TooLarge(f"exhaustive QAP limited to n <= {max_n}, got {n}")
+    if n > MAX_QAP_FACILITIES:
+        raise TooLarge(f"exhaustive QAP limited to n <= {MAX_QAP_FACILITIES}, got {n}")
     flow, dist = inst.flow, inst.dist
     best_cost = np.inf
     best_perm = None
@@ -77,14 +80,14 @@ def brute_force_qap(inst: QapInstance, max_n: int = 9) -> OracleResult:
     return OracleResult(float(best_cost), best_perm + 1, explored)
 
 
-def exact_knapsack(inst: KnapsackInstance, max_n: int = 22) -> OracleResult:
+def exact_knapsack(inst: KnapsackInstance) -> OracleResult:
     """Exact maximum feasible profit.
 
-    Exhaustive subset scan up to ``max_n`` items; for a single constraint
-    with integer data, dynamic programming over capacity handles any n.
+    Exhaustive subset scan up to ``MAX_KNAPSACK_ITEMS`` items; for a single
+    constraint with integer data, dynamic programming over capacity handles any n.
     """
     n = inst.n
-    if n <= max_n:
+    if n <= MAX_KNAPSACK_ITEMS:
         best_profit = 0.0
         best_bits = np.zeros(n, dtype=np.int8)
         explored = 0
@@ -126,7 +129,7 @@ def exact_knapsack(inst: KnapsackInstance, max_n: int = 22) -> OracleResult:
         profit = knapsack_profit(inst, bits)
         return OracleResult(profit, bits, n * (cap + 1))
 
-    raise TooLarge(f"exhaustive knapsack limited to n <= {max_n} (or m == 1), got n={n}")
+    raise TooLarge(f"exhaustive knapsack limited to n <= {MAX_KNAPSACK_ITEMS} or m == 1, got n={n}")
 
 
 def exact_shortest_paths(net: RoadNetwork) -> OracleResult:
@@ -204,7 +207,7 @@ class OracleCache:
         return self._records.get(checksum)
 
     def put(self, checksum: str, optimum: float) -> None:
-        self._records[checksum] = float(optimum)
+        optimum = self._records[checksum] = float(optimum)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(f"{checksum} {optimum!r}\n")

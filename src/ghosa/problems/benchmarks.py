@@ -275,6 +275,16 @@ _REGISTRY = {
 TRIAL_BLOCK_ENTRIES = 1 << 14
 
 
+def _trial_block(rows: np.ndarray, flat: np.ndarray, entries) -> np.ndarray:
+    """``rows`` stacked once per row of the ``(cols, N)`` flat indices ``flat``,
+    with ``entries`` put at them (repeated when shorter), marked read-only."""
+    block = np.empty((flat.size, rows.shape[1]))
+    block.reshape(len(flat), *rows.shape)[...] = rows
+    block.put(flat, entries)
+    block.flags.writeable = False
+    return block
+
+
 def benchmark_ids() -> list[str]:
     return list(_REGISTRY)
 
@@ -305,7 +315,7 @@ class BenchmarkFunction:
         # Rastrigin's terms (a cos each) cost more to recompute than to reuse;
         # f1's and f4's polynomial terms do not
         self.terms = _f5_terms if fid == "f5" else None
-        # (block, its baited entries, their terms, terms of x) while a scan scores it
+        # (block, its terms) while a scan scores the block
         self._scan = None
 
     def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -328,60 +338,46 @@ class BenchmarkFunction:
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
         """One value per row of ``x``.  f12 adds ``rng.random(len(x))`` when
         ``rng`` is given; every other function ignores ``rng``.  The read-only
-        trial block of a Rastrigin scan is scored from the scan's precomputed terms."""
+        trial block of a Rastrigin scan is scored from the scan's terms block."""
         x = self._rows(x)
         if self.fid == "f12" and rng is not None:
             return self.fn(x) + rng.random(len(x))
         if self._scan is None or x is not self._scan[0]:
             return self.fn(x)
-        # the block is the scanned rows once per column with baits put in: equal values
-        # have equal terms, and the row sums run over the same (k*N, D) array as fn's
-        _, baited, bait_terms, base = self._scan
-        terms = np.empty(x.shape)
-        terms.reshape(-1, *base.shape)[...] = base
-        terms.put(baited, bait_terms)
-        return terms.sum(axis=1)
+        # equal values have equal terms, and the row sums run over a (k*N, D) array as fn's
+        return self._scan[1].sum(axis=1)
 
-    def placement_cost(self, x, baits, positions) -> np.ndarray:
-        """Nominal value of each row of ``x`` with its bait at each slot of ``positions``.
+    def placement_cost(self, x, baits, slots) -> np.ndarray:
+        """Nominal value of each row of ``x`` with its bait at each slot of ``slots``.
 
-        ``x`` is read as floats, as ``evaluate_batch`` reads it.  Entry ``[i, j]``
-        scores row i with ``lo[p] + baits[i] * span[p]`` at slot
-        ``p = positions[i, j]``; zero rows give a ``(0, width)`` array.  Window
-        columns are stacked into trial blocks of at most ``TRIAL_BLOCK_ENTRIES``
-        entries (one whole column when a column is larger): a block is ``x``
-        broadcast once per column into an empty array, its baits set with one
-        ``put``, marked read-only and scored by one ``evaluate_batch`` call.
-        Rastrigin's scan takes the terms of ``x`` once and one bait term per row,
-        since its box is the same in every coordinate, so a block's score needs
-        no new term.
+        Every row of ``x``, read as floats, scans the same 1-D ``slots``: entry
+        ``[i, j]`` scores row i with ``lo[p] + baits[i] * span[p]`` at ``p = slots[j]``,
+        and zero rows give a ``(0, width)`` array.  Columns are stacked into read-only
+        trial blocks of at most ``TRIAL_BLOCK_ENTRIES`` entries (or one column), each
+        scored by one ``evaluate_batch`` call, on Rastrigin from a terms block.
         """
-        x, baits, positions = self._rows(x), np.asarray(baits), np.asarray(positions)
-        n, width = positions.shape
+        x, baits, slots = self._rows(x), np.asarray(baits), np.asarray(slots)
+        n, width = len(x), len(slots)
         if not x.size:
             return np.empty((0, width))
-        values = (self.lo[positions] + baits[:, None] * self.span[positions]).T.ravel()
+        values = self.lo[slots, None] + baits * self.span[slots, None]
         # index of column j's bait for row i in a stack of all the columns
-        flat = (positions.T + np.arange(0, x.size, self.dimension)
-                + np.arange(0, width * x.size, x.size)[:, None]).ravel()
+        flat = ((slots + np.arange(0, width * x.size, x.size))[:, None]
+                + np.arange(0, x.size, self.dimension))
         step = max(1, TRIAL_BLOCK_ENTRIES // x.size)
         if self.terms is not None:
-            # a row's bait value is the same at every slot of a uniform box
-            base, bait_terms = self.terms(x), np.tile(self.terms(values[:n]), width)
+            # a row's bait value is the same at every slot of a uniform box, so the
+            # N bait terms of the first column serve every column
+            base, bait_terms = self.terms(x), self.terms(values[:1])
         costs = np.empty((n, width))
         try:
             for start in range(0, width, step):
-                cols = min(step, width - start)
-                rows = slice(start * n, (start + cols) * n)
-                baited = flat[rows] - start * x.size
-                block = np.empty((cols * n, self.dimension))
-                block.reshape(cols, n, -1)[...] = x
-                block.put(baited, values[rows])
-                block.flags.writeable = False
+                cols = slice(start, start + step)
+                baited = flat[cols] - start * x.size
+                block = _trial_block(x, baited, values[cols])
                 if self.terms is not None:
-                    self._scan = (block, baited, bait_terms[rows], base)
-                scores = self.evaluate_batch(block, rng=None)
-                costs[:, start:start + cols] = scores.reshape(cols, n).T
+                    self._scan = (block, _trial_block(base, baited, bait_terms))
+                costs[:, cols] = self.evaluate_batch(block, rng=None).reshape(-1, n).T
         finally:
             self._scan = None
         return costs

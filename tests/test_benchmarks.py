@@ -107,8 +107,8 @@ SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
     ("f1", 30, None), ("f3", 30, None), ("f5", 30, None), ("f12", 30, None),
     # scans whose blocks bait every entry (d=1) or half of them (d=2)
     ("f5", 1, None), ("f5", 2, None), ("f5", 25, None),
-    # the engine's input: one read-only (offset, width) window for every row,
-    # the last as long as window_fraction=0.25 gives at d=30
+    # the engine's input: one (offset, width) window, the last as long as
+    # window_fraction=0.25 gives at d=30
     ("f14", None, (1, 1)), ("f5", 30, (3, 25)), ("f5", 30, (11, 8)),
     # trial blocks of 45 and 15 columns, and one column that alone passes the cap
     ("f5", 60, (0, 60)), ("f5", 3000, (0, 3))]
@@ -120,24 +120,24 @@ SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
 def test_placement_cost_scores_each_slot_without_noise(fid, dim, window):
     # oracle: the nominal value of the row with that one slot overwritten,
     # scored by a fresh instance that shares no cached terms with f;
-    # every row scans its own window, in its own order, unless one is shared
+    # every row scans the same slots, an unordered random subset unless a window
     f = benchmark_function(fid, dim)
     oracle = benchmark_function(fid, dim)
     rng = np.random.default_rng(21)
     x = f.initial_population(rng, 6)
     baits = rng.random(6)
     if window is None:
-        positions = np.array([rng.permutation(f.dimension)[:4] for _ in range(6)])
+        slots = rng.permutation(f.dimension)[:4]
     else:
         offset, width = window
-        positions = np.broadcast_to(np.arange(offset, offset + width), (6, width))
+        slots = np.arange(offset, offset + width)
     state = rng.bit_generator.state
-    costs = f.placement_cost(x, baits, positions)
+    costs = f.placement_cost(x, baits, slots)
     assert rng.bit_generator.state == state
-    assert costs.shape == positions.shape
+    assert costs.shape == (6, len(slots))
     lo, hi = f.bounds[:, 0], f.bounds[:, 1]
     for i, row in enumerate(x):
-        for j, p in enumerate(positions[i]):
+        for j, p in enumerate(slots):
             trial = row.copy()
             trial[p] = lo[p] + baits[i] * (hi[p] - lo[p])
             assert costs[i, j] == oracle.evaluate_batch(trial, rng=None)[0]
@@ -189,12 +189,12 @@ def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
     if terms is not None:
         f.terms = lambda x: recomputed.append(x.size) or terms(x)
     rng = np.random.default_rng(5)
-    positions = np.tile(np.arange(dim), (50, 1))  # the engine's whole-string window
+    slots = np.arange(dim)  # the engine's whole-string window
     for x in (f.initial_population(rng, 50), f.initial_population(rng, 50)):
         shapes.clear()
         recomputed.clear()
-        f.placement_cost(x, rng.random(50), positions)
-        assert sum(rows for rows, _ in shapes) == positions.size
+        f.placement_cost(x, rng.random(50), slots)
+        assert sum(rows for rows, _ in shapes) == 50 * dim
         assert max(rows * cols for rows, cols in shapes) <= max(TRIAL_BLOCK_ENTRIES, x.size)
         # the terms of x once, then one bait term per row
         assert sum(recomputed) == (x.size + len(x) if terms is not None else 0)
@@ -216,44 +216,42 @@ def test_rastrigin_scan_scores_only_its_own_block_from_terms(shift):
 
     f.evaluate_batch = copy_of_block
     rng = np.random.default_rng(13)
-    x, baits = f.initial_population(rng, 50), rng.random(50)
-    positions = np.tile(np.arange(30), (50, 1))
-    costs = f.placement_cost(x, baits, positions)
+    x, baits, slots = f.initial_population(rng, 50), rng.random(50), np.arange(30)
+    costs = f.placement_cost(x, baits, slots)
     assert writeable == [False] * 3
     want = np.concatenate(expected).reshape(30, 50).T
     assert np.array_equal(costs.view(np.int64), want.view(np.int64))
     if not shift:
-        fresh = oracle.placement_cost(x, baits, positions)
+        fresh = oracle.placement_cost(x, baits, slots)
         assert np.array_equal(costs.view(np.int64), fresh.view(np.int64))
 
 
 def test_placement_cost_reads_rows_as_floats():
     # integer rows once truncated the bait 0.4 to 0 and scored 13.0
     f = benchmark_function("f1", 3)
-    baits, positions = np.array([0.51]), np.array([[0]])
+    baits, slots = np.array([0.51]), np.array([0])
     want = f.evaluate_batch([[-20.0 + 0.51 * 40.0, 2.0, 3.0]])[0]
     assert want == pytest.approx(13.16)
     for x in (np.array([[1, 2, 3]]), [[1, 2, 3]], [1, 2, 3]):
-        assert f.placement_cost(x, baits, positions)[0, 0] == want
+        assert f.placement_cost(x, baits, slots)[0, 0] == want
     with pytest.raises(DimensionMismatch):
-        f.placement_cost([[1.0, 2.0]], baits, positions)
+        f.placement_cost([[1.0, 2.0]], baits, slots)
 
 
 @pytest.mark.parametrize("fid", ["f5", "f1"])  # with and without a term scan
 def test_placement_cost_reads_list_baits_and_positions(fid):
     f = benchmark_function(fid, 4)
     x = f.initial_population(np.random.default_rng(3), 2)
-    baits, positions = np.array([0.51, 0.2]), np.array([[0, 2], [1, 3]])
-    want = f.placement_cost(x, baits, positions)
-    got = f.placement_cost(x, baits.tolist(), positions.tolist())
+    baits, slots = np.array([0.51, 0.2]), np.array([3, 0, 2])
+    want = f.placement_cost(x, baits, slots)
+    got = f.placement_cost(x, baits.tolist(), slots.tolist())
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("fid", ["f5", "f1"])  # with and without a term scan
 def test_placement_cost_of_zero_rows_is_empty(fid):
     f = benchmark_function(fid, 30)
-    costs = f.placement_cost(
-        np.empty((0, 30)), np.empty(0), np.empty((0, 4), dtype=int))
+    costs = f.placement_cost(np.empty((0, 30)), np.empty(0), np.arange(4))
     assert costs.shape == (0, 4)
 
 
@@ -276,7 +274,7 @@ def test_rastrigin_problem_pickles_without_scan_state():
     rng = np.random.default_rng(3)
     x = f.initial_population(rng, 50)
     with pytest.raises(RuntimeError, match="second block"):
-        f.placement_cost(x, rng.random(50), np.tile(np.arange(30), (50, 1)))
+        f.placement_cost(x, rng.random(50), np.arange(30))
     del f.evaluate_batch
     assert len(pickle.dumps(f)) == size
     rows = x.copy()

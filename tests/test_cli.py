@@ -47,6 +47,21 @@ def test_run_tsp_with_override_and_report(capsys, tmp_path):
     assert data["config"]["metric_override"] == "euclid"
 
 
+def test_dotted_report_stems_keep_their_own_reports(capsys, tmp_path):
+    # --out is a stem the suffixes are appended to, dots and all; a trailing
+    # slash names the same stem
+    for stem in ("exp.v1", "exp.v2/"):
+        code, out, _ = run_cli(
+            capsys, "run", "--problem", "benchmark", "--instance", "f6",
+            "--runs", "1", "--iters", "3", "--out", f"{tmp_path}/{stem}",
+        )
+        assert code == 0
+        printed = out.split("report written to ")[1].split(" (+ traces)")[0]
+        assert printed == str(tmp_path / f"{stem.rstrip('/')}.csv")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"exp.{v}.{suffix}" for v in ("v1", "v2") for suffix in ("csv", "json", "run0.trace")]
+
+
 def test_oracle_command_with_cache(capsys, tmp_path):
     qap = tmp_path / "toy.qap"
     qap.write_text("3\n0 1 2\n1 0 1\n2 1 0\n0 2 1\n2 0 2\n1 2 0\n")

@@ -115,7 +115,7 @@ class TestExactKnapsack:
         inst = KnapsackInstance(m=1, n=1, profit=[7], weight=[[2]], capacity=[3])
         assert exact_knapsack(inst).optimum == 7.0
 
-    def test_dp_matches_exhaustive_single_constraint(self, rng):
+    def test_dp_matches_exhaustive_single_constraint(self, rng, monkeypatch):
         inst = KnapsackInstance(
             m=1,
             n=12,
@@ -123,22 +123,25 @@ class TestExactKnapsack:
             weight=rng.integers(1, 15, (1, 12)),
             capacity=[40],
         )
-        exhaustive = exact_knapsack(inst, max_n=22)
-        dp = exact_knapsack(inst, max_n=5)  # force the DP route
+        exhaustive = exact_knapsack(inst)
+        monkeypatch.setattr(oracles, "MAX_KNAPSACK_ITEMS", 5)  # force the DP route
+        dp = exact_knapsack(inst)
         assert dp.optimum == pytest.approx(exhaustive.optimum)
 
-    def test_multi_constraint_too_large(self, rng):
+    def test_multi_constraint_too_large(self, rng, monkeypatch):
         inst = random_knapsack(rng, m=3, n=15)
-        with pytest.raises(TooLarge):
-            exact_knapsack(inst, max_n=10)
+        monkeypatch.setattr(oracles, "MAX_KNAPSACK_ITEMS", 10)
+        with pytest.raises(TooLarge, match="n <= 10"):
+            exact_knapsack(inst)
 
     @pytest.mark.parametrize("weight, capacity", [(2.5, 40), (2, 40.5)])
-    def test_fractional_single_constraint_too_large(self, weight, capacity):
+    def test_fractional_single_constraint_too_large(self, weight, capacity, monkeypatch):
         inst = KnapsackInstance(
             m=1, n=12, profit=np.ones(12), weight=np.full((1, 12), weight), capacity=[capacity]
         )
+        monkeypatch.setattr(oracles, "MAX_KNAPSACK_ITEMS", 10)
         with pytest.raises(TooLarge, match="integer weights"):
-            exact_knapsack(inst, max_n=10)
+            exact_knapsack(inst)
 
 
 class TestExactShortestPaths:
@@ -237,6 +240,13 @@ class TestOracleCache:
         assert cache.get("abc") == 42.5
         again = OracleCache(tmp_path / "oracle.cache")
         assert again.get("abc") == 42.5
+
+    def test_numpy_optimum_round_trips_as_a_float(self, tmp_path):
+        # an oracle's optimum may be a numpy scalar, whose repr is no number
+        path = tmp_path / "oracle.cache"
+        OracleCache(path).put("abc", np.float64(3.5))
+        assert path.read_text() == "abc 3.5\n"
+        assert OracleCache(path).get("abc") == 3.5
 
     def test_latest_record_wins(self, tmp_path):
         cache = OracleCache(tmp_path / "oracle.cache")
