@@ -1,15 +1,16 @@
 """Continuous-domain swarm engine: string operators plus the LBNIV move.
 
 Agents are real vectors in a box.  Each iteration a candidate is built per
-agent by one gather of ``apply_value_cases``: a fresh value baited into the
-window slot of lowest ``problem.placement_cost`` (whose nominal values count
-as evaluations and which scores the whole window in a few stacked trial
-blocks), then an occasional rotation of the whole string.  The candidate is
-shifted by the neighbor-influenced variation, clamped, evaluated, and passed
-to ``GhosaBase._survive`` as in the discrete engine; redrawn agents restart
-their d and eps.  All per-agent state is kept as stacked arrays (direction d
-as (2, N, D), in the layout of the ring neighbours ``x[neighbours]``; step
-scale eps as (N, D)) so one iteration is a handful of numpy passes.
+agent by ``apply_value_cases``, the re-insert gather the discrete engine baits
+through too: a fresh value baited into the window slot of lowest
+``problem.placement_cost`` (whose nominal values count as evaluations and
+which scores the whole window in a few stacked trial blocks), then an
+occasional rotation of the whole string.  The candidate is shifted by the
+neighbor-influenced variation, clamped, evaluated, and passed to
+``GhosaBase._survive`` as in the discrete engine; redrawn agents restart their
+d and eps.  All per-agent state is kept as stacked arrays (direction d as
+(2, N, D), in the layout of the ring neighbours ``x[neighbours]``; step scale
+eps as (N, D)) so one iteration is a handful of numpy passes.
 """
 
 from __future__ import annotations

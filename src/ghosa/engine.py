@@ -3,9 +3,9 @@
 Each iteration runs the operator pipeline on the whole ``(agents, n)``
 population at once: one batched ``placement_cost`` call and a row-wise argmin
 pick each agent's slot (change-of-position; a random slot where the cost is
-None), ``rotate_segments`` and ``apply_cases`` build the candidates, and
-``GhosaBase._survive`` accepts each only if it improves and redraws the worst
-agents.  The recorded global best never worsens.
+None), ``rotate_segments`` and ``apply_cases`` (one re-insert gather) build
+the candidates, and ``GhosaBase._survive`` accepts each only if it improves
+and redraws the worst agents.  The recorded global best never worsens.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class GhosaOptimizer(GhosaBase):
     After ``fit(problem)`` the result lives in ``best_sequence_``,
     ``best_fitness_`` and the per-iteration ``trace_``, the final population
     in ``population_`` and ``population_fitness_``.  ``trace_components_``
-    holds, per iteration, the problem's ``component_values`` of the latest
-    global best that has them (one dict, shared by the iterations that keep
-    it), or None.  ``evaluations_`` counts every row
-    scored, including the re-scores that ``prepare_iteration`` asks for.
+    holds, per iteration, the problem's ``component_values`` of the global
+    best (one dict, shared by the iterations that keep it), or None.
+    ``evaluations_`` counts every row scored, including the re-scores that
+    ``prepare_iteration`` asks for.
     """
 
     window_fraction: float = 0.25
@@ -107,9 +107,8 @@ class GhosaOptimizer(GhosaBase):
                 problem, rng, sequences, fitness, candidates, cand_fitness, best, sign
             )
 
-            # None until a global best with components appears
             if best is not previous_best:
-                last_components = problem.component_values(best[0]) or last_components
+                last_components = problem.component_values(best[0])
             self.trace_components_.append(last_components)
             self.best_sequence_, best_fitness = best
             self.population_, self.population_fitness_ = sequences, fitness

@@ -361,7 +361,7 @@ def _trace_series(run: dict) -> dict[str, np.ndarray]:
     if not components or all(c is None for c in components):
         return series
     for key in ("travel", "waiting"):
-        # NaN before the first decodable incumbent appears
+        # NaN before the first feasible incumbent appears
         series[key] = np.asarray(
             [c[key] if c is not None else np.nan for c in components], dtype=float
         )

@@ -5,9 +5,9 @@ encodings, node ids for path encodings).  The three baiting outcomes insert,
 swap, or displace a single event; attracting-prey-swarms cyclically rotates a
 segment under a fixed slot.  Row-wise kernels apply them to ``(agents,
 length)`` arrays: ``rotate_segments`` then ``apply_cases`` on permutation
-strings, and on value strings ``apply_value_cases``, which baits and then
-rotates in one gather.  The scalar ``baiting`` and ``attracting_prey_swarms``
-are their one-row test oracles.
+strings, and ``apply_value_cases`` on value strings; both bait through one
+re-insert gather, which on value strings also rotates.  The scalar
+``baiting`` and ``attracting_prey_swarms`` are their one-row test oracles.
 """
 
 from __future__ import annotations
@@ -112,55 +112,53 @@ def attracting_prey_swarms(
     return seq
 
 
+def _reinsert(x, cases, positions, baits, miss_slots, shifts=0) -> np.ndarray:
+    """Bait each row by taking one slot out and putting one value in, then
+    rotate it right by its shift, in one gather and one put.
+
+    Miss catch takes out ``miss_slots`` and puts the bait in at the position,
+    catch takes out the position and puts the bait in there, and false catch
+    takes out the position and puts its value in at the end.  Output column
+    j reads column k = j - shift (mod n) of its row, less one from the
+    inserted slot on, plus one from the removed slot on; the inserted slot
+    reads its left neighbour (-1 on row 0) until the put.
+    """
+    n_rows, n = x.shape
+    base = n * np.arange(n_rows)
+    false = cases == 2
+    removed = np.where(cases, positions, miss_slots)
+    inserted = np.where(false, n - 1, positions)
+    values = np.where(false, x.take(base + positions), baits)
+    cols = np.arange(n)
+    shift = np.reshape(shifts, (-1, 1))
+    k = cols + (base[:, None] - shift)
+    np.add(k, n, out=k, where=cols < shift)
+    k -= k >= (base + inserted)[:, None]
+    k += k >= (base + removed)[:, None]
+    out = x.take(k)
+    out.put(base + (inserted + shifts) % n, values)
+    return out
+
+
 def apply_cases(x, cases, positions, baits) -> np.ndarray:
     """Apply one baiting outcome per row of permutation strings ``x``.
 
     ``cases`` codes each row's outcome: 0 miss catch, 1 catch, 2 false catch.
     Row for row this is ``baiting``.
     """
-    n = x.shape[1]
-    row_start = n * np.arange(len(x))
-    miss, catch = cases == 0, cases == 1
     slots = np.argmax(x == baits[:, None], axis=1)
-    src = np.where(miss, slots, positions)
-    dst = np.where(miss, positions, n - 1)
-    src[catch] = dst[catch] = positions[catch]
-    # miss and false catch move slot s to slot t: the slots in [lo, hi) take
-    # the event ``step`` slots along, and t takes s's event; catch moves
-    # nothing here, then swaps below
-    forward = src < dst
-    lo = np.where(forward, src, dst + 1)[:, None]
-    hi = np.where(forward, dst, src + 1)[:, None]
-    step = np.where(forward, 1, -1)[:, None]
-    cols = np.arange(n)
-    index = row_start[:, None] + cols
-    index += step * ((lo <= cols) & (cols < hi))
-    flat = index.reshape(-1)
-    flat[row_start + dst] = row_start + src
-    at = row_start[catch]
-    flat[at + slots[catch]] = at + positions[catch]
-    flat[at + positions[catch]] = at + slots[catch]
-    return x.reshape(-1).take(index)
+    out = _reinsert(x, cases, positions, baits, slots)
+    # catch swaps: the position's event goes to the bait's old slot
+    catch = np.flatnonzero(cases == 1)
+    out[catch, slots[catch]] = x[catch, positions[catch]]
+    return out
 
 
 def apply_value_cases(x, cases, positions, baits, shifts) -> np.ndarray:
     """Row for row ``baiting(..., permutation=False)`` cut to the string's
     length, then ``attracting_prey_swarms`` of the whole row by its shift
-    (0: no rotation), in one gather."""
-    n_rows, n = x.shape
-    rows = np.arange(n_rows)
-    # column n holds each row's slot entry, which false catch moves to the end
-    wide = np.concatenate((x, x[rows, positions][:, None]), axis=1)
-    # output column j reads column k = j - shift (mod n) of the baited row,
-    # which reads k - 1 past the slot on miss, k, or k + 1 from the slot on
-    # false catch; column n - 1 then reads the extra column
-    k = (np.arange(n) - shifts[:, None]) % n
-    k += (cases - 1)[:, None] * (k >= (positions + (cases == 0))[:, None])
-    k += (n + 1) * rows[:, None]
-    out = wide.reshape(-1).take(k)
-    keep = cases != 2
-    out[rows[keep], (positions[keep] + shifts[keep]) % n] = baits[keep]
-    return out
+    (0: no rotation), in one gather; miss catch drops the last entry."""
+    return _reinsert(x, cases, positions, baits, x.shape[1] - 1, shifts)
 
 
 def rotate_segments(x, starts, stops, shifts) -> np.ndarray:

@@ -217,7 +217,7 @@ class RoadNetworkProblem(SequenceProblem):
 
     def component_values(self, sequence) -> dict[str, float] | None:
         path = self.decode(sequence)
-        if path is None:
+        if path is None or not self.network.path_feasible(path):
             return None
         f1, f2, f = road_fitness(self.network, path)
         return {"total": f, "travel": f1, "waiting": f2}

@@ -13,6 +13,7 @@ from ghosa import (
     KnapsackProblem,
     ParticleSwarmOptimizer,
     QapProblem,
+    RoadNetwork,
     RoadNetworkProblem,
     TspProblem,
     benchmark_function,
@@ -28,6 +29,7 @@ from ghosa.errors import ConfigError
 from ghosa.ingest import load_instance
 from ghosa.operators import rotate_segments
 from ghosa.problems import SequenceProblem
+from ghosa.problems.roadnet import INFEASIBLE_FITNESS
 
 
 class ConstantProblem(SequenceProblem):
@@ -202,6 +204,21 @@ class TestOptimize:
         tsp = TspProblem(random_tsp(rng, n=8))
         opt = GhosaOptimizer(population_size=10, iterations=20, seed=3).fit(tsp)
         assert opt.trace_components_ == [None] * 20
+
+    def test_trace_components_are_none_while_every_path_breaks_a_cap(self):
+        # every edge uses 5 of a cap of 1, so each walk scores as infeasible
+        # and has no travel or waiting components to record
+        edges = {(1, 2): (1.0, 0.0), (2, 4): (1.0, 0.0), (1, 3): (5.0, 0.0), (3, 4): (5.0, 0.0)}
+        net = RoadNetwork(nodes=[1, 2, 3, 4], edges=edges, velocity=1.0, source=1,
+                          destination=4, resources={e: [5.0] for e in edges},
+                          caps=np.array([1.0]))
+        road = RoadNetworkProblem(net)
+        opt = GhosaOptimizer(population_size=4, iterations=3, seed=0).fit(road)
+        assert opt.best_fitness_ == INFEASIBLE_FITNESS
+        assert opt.trace_components_ == [None] * 3
+        # the walk itself still decodes; only its components are withheld
+        assert road.decode([4, 3, 2, 1]) == [1, 2, 4]
+        assert road.component_values([4, 3, 2, 1]) is None
 
     def test_trace_monotone_non_increasing(self, rng):
         prob = TspProblem(random_tsp(rng, n=9))
