@@ -15,8 +15,12 @@ from ..base import check_int_at_least
 from ..errors import ConfigError, DimensionMismatch, OutOfBounds
 
 
+def _f1_term(v, p):
+    return v**2
+
+
 def _f1(x):
-    return (x**2).sum(axis=1)
+    return _f1_term(x, None).sum(axis=1)
 
 
 def _f2(x):
@@ -30,16 +34,20 @@ def _f3(x):
     )
 
 
+def _f4_term(v, p):
+    return (v - 0.5) ** 2
+
+
 def _f4(x):
-    return ((x - 0.5) ** 2).sum(axis=1)
+    return _f4_term(x, None).sum(axis=1)
 
 
-def _f5_terms(x):
-    return x**2 - 10.0 * np.cos(2.0 * math.pi * x) + 10.0
+def _f5_term(v, p):
+    return v**2 - 10.0 * np.cos(2.0 * math.pi * v) + 10.0
 
 
 def _f5(x):
-    return _f5_terms(x).sum(axis=1)
+    return _f5_term(x, None).sum(axis=1)
 
 
 def _f6(x):
@@ -99,9 +107,13 @@ def _f11(x):
     )
 
 
+def _f12_term(v, p):
+    # noise is drawn by ``evaluate_batch``; squaring twice skips the pow of ``v**4``
+    return (p + 1) * np.square(np.square(v))
+
+
 def _f12(x):
-    # noise is drawn by ``evaluate_batch``; squaring twice skips the pow of ``x**4``
-    return (np.arange(1, x.shape[1] + 1)[None, :] * np.square(np.square(x))).sum(axis=1)
+    return _f12_term(x, np.arange(x.shape[1])).sum(axis=1)
 
 
 def _f13(x):
@@ -269,9 +281,14 @@ _REGISTRY = {
 }
 
 
+# the separable functions, each the row sum of its term: ``term(v, p)`` is the
+# term of value ``v`` at 0-based coordinate ``p``, which only f12's weight reads
+_TERMS = {"f1": _f1_term, "f4": _f4_term, "f5": _f5_term, "f12": _f12_term}
+
+
 #: the most entries in one ``placement_cost`` trial block, 128 KiB of floats:
-#: glibc's default mmap threshold, below which a block and its terms come from
-#: the heap, not from fresh pages that fault in on every call
+#: glibc's default mmap threshold, below which a block comes from the heap, not
+#: from fresh pages that fault in on every call
 TRIAL_BLOCK_ENTRIES = 1 << 14
 
 
@@ -312,10 +329,10 @@ class BenchmarkFunction:
         self.fn = fn
         self.best_known = optimum
         self.optimizer = np.array(np.broadcast_to(optimizer, dim), dtype=float)
-        # Rastrigin's terms (a cos each) cost more to recompute than to reuse;
-        # f1's and f4's polynomial terms do not
-        self.terms = _f5_terms if fid == "f5" else None
-        # (block, its terms) while a scan scores the block
+        # the per-coordinate term of a separable function, whose scans price
+        # each slot from the row's term total
+        self.terms = _TERMS.get(fid)
+        # (block, its prices) while a scan scores the block
         self._scan = None
 
     def initial_population(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -338,14 +355,13 @@ class BenchmarkFunction:
     def evaluate_batch(self, x: np.ndarray, rng=None) -> np.ndarray:
         """One value per row of ``x``.  f12 adds ``rng.random(len(x))`` when
         ``rng`` is given; every other function ignores ``rng``.  The read-only
-        trial block of a Rastrigin scan is scored from the scan's terms block."""
+        trial block of a separable function's scan gets the scan's prices."""
         x = self._rows(x)
         if self.fid == "f12" and rng is not None:
             return self.fn(x) + rng.random(len(x))
         if self._scan is None or x is not self._scan[0]:
             return self.fn(x)
-        # equal values have equal terms, and the row sums run over a (k*N, D) array as fn's
-        return self._scan[1].sum(axis=1)
+        return self._scan[1].ravel()
 
     def placement_cost(self, x, baits, slots) -> np.ndarray:
         """Nominal value of each row of ``x`` with its bait at each slot of ``slots``.
@@ -354,7 +370,11 @@ class BenchmarkFunction:
         ``[i, j]`` scores row i with ``lo[p] + baits[i] * span[p]`` at ``p = slots[j]``,
         and zero rows give a ``(0, width)`` array.  Columns are stacked into read-only
         trial blocks of at most ``TRIAL_BLOCK_ENTRIES`` entries (or one column), each
-        scored by one ``evaluate_batch`` call, on Rastrigin from a terms block.
+        passed to one ``evaluate_batch`` call.  On f1, f4, f5 and f12 that call returns
+        the price ``(S[i] - T[i, p]) + t_i(p)``, exact to within rounding: ``T`` holds
+        the terms of ``x``, ``S`` their row totals and ``t_i(p)`` the bait value's term.
+        A row whose total is not finite, and every other function, gets ``fn`` of
+        the trial rows.
         """
         x, baits, slots = self._rows(x), np.asarray(baits), np.asarray(slots)
         n, width = len(x), len(slots)
@@ -366,9 +386,14 @@ class BenchmarkFunction:
                 + np.arange(0, x.size, self.dimension))
         step = max(1, TRIAL_BLOCK_ENTRIES // x.size)
         if self.terms is not None:
+            terms = self.terms(x, np.arange(self.dimension))
+            totals = terms.sum(axis=1)
+            finite = np.isfinite(totals)
             # a row's bait value is the same at every slot of a uniform box, so the
-            # N bait terms of the first column serve every column
-            base, bait_terms = self.terms(x), self.terms(values[:1])
+            # first column's serve all; prices are (width, N), as blocks stack rows
+            bait_terms = self.terms(values[:1], slots[:, None])
+            with np.errstate(invalid="ignore"):  # inf - inf, on rows fn scores
+                prices = (totals - terms[:, slots].T) + bait_terms
         costs = np.empty((n, width))
         try:
             for start in range(0, width, step):
@@ -376,7 +401,10 @@ class BenchmarkFunction:
                 baited = flat[cols] - start * x.size
                 block = _trial_block(x, baited, values[cols])
                 if self.terms is not None:
-                    self._scan = (block, _trial_block(base, baited, bait_terms))
+                    own = prices[cols]
+                    if not finite.all():
+                        own = np.where(finite, own, self.fn(block).reshape(-1, n))
+                    self._scan = (block, own)
                 costs[:, cols] = self.evaluate_batch(block, rng=None).reshape(-1, n).T
         finally:
             self._scan = None

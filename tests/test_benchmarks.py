@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -119,8 +120,10 @@ SLOT_CASES = [(fid, None, None) for fid in benchmark_ids()] + [
     for fid, dim, w in SLOT_CASES])
 def test_placement_cost_scores_each_slot_without_noise(fid, dim, window):
     # oracle: the nominal value of the row with that one slot overwritten,
-    # scored by a fresh instance that shares no cached terms with f;
-    # every row scans the same slots, an unordered random subset unless a window
+    # scored by a fresh instance that shares no scan state with f; bit for bit,
+    # but for the separable functions' slot rule, which is exact to within
+    # rounding; every row scans the same slots, an unordered random subset
+    # unless a window
     f = benchmark_function(fid, dim)
     oracle = benchmark_function(fid, dim)
     rng = np.random.default_rng(21)
@@ -136,18 +139,29 @@ def test_placement_cost_scores_each_slot_without_noise(fid, dim, window):
     assert rng.bit_generator.state == state
     assert costs.shape == (6, len(slots))
     lo, hi = f.bounds[:, 0], f.bounds[:, 1]
+    eps = np.finfo(float).eps
     for i, row in enumerate(x):
+        want, bound = np.empty(len(slots)), np.zeros(len(slots))
         for j, p in enumerate(slots):
             trial = row.copy()
             trial[p] = lo[p] + baits[i] * (hi[p] - lo[p])
-            assert costs[i, j] == oracle.evaluate_batch(trial, rng=None)[0]
+            want[j] = oracle.evaluate_batch(trial, rng=None)[0]
+            if f.terms is not None:
+                # the row's terms and the bait's, each summed once
+                terms = np.abs(f.terms(row, np.arange(f.dimension))).sum()
+                bound[j] = 4 * eps * (terms + abs(f.terms(trial[p], p)))
+        assert np.all(np.abs(costs[i] - want) <= bound)
+        # the same slot wins wherever no rival sits within both errors
+        gaps = want - want.min()
+        if np.all((gaps > 2 * bound.max()) | (want == want.min())):
+            assert want[costs[i].argmin()] == want.min()
 
 
 def test_rastrigin_term_reuse_is_bit_identical_to_a_fresh_instance():
     f = benchmark_function("f5", 30)
     recomputed = []
     terms = f.terms
-    f.terms = lambda x: recomputed.append(x.size) or terms(x)
+    f.terms = lambda v, p: recomputed.append(v.size) or terms(v, p)
     rng = np.random.default_rng(17)
     x = f.initial_population(rng, 50)
     # placement-style trial columns: a copy of x with one slot per row overwritten
@@ -175,35 +189,41 @@ def test_rastrigin_term_reuse_is_bit_identical_to_a_fresh_instance():
     rows[:, 7] += 0.5
     expected = benchmark_function("f5", 30).evaluate_batch(rows)
     assert np.array_equal(f.evaluate_batch(rows).view(np.int64), expected.view(np.int64))
-    # no call outside a placement_cost scan goes through the term reuse
+    # no call outside a placement_cost scan goes through the slot rule
     assert recomputed == []
 
 
 @pytest.mark.parametrize("fid, dim", [
-    ("f5", 30), ("f5", 25), ("f5", 400), ("f1", 30), ("f5", 1), ("f5", 2)])
+    ("f5", 30), ("f5", 25), ("f5", 400), ("f1", 30), ("f5", 1), ("f5", 2),
+    ("f12", 400), ("f3", 30)])
 def test_placement_cost_scores_each_trial_row_once_in_capped_blocks(fid, dim):
+    # a wrapper that passes each block on, as the benchmark's timer does, sees
+    # every trial row once and gets the prices of a fresh instance bit for bit
     f = benchmark_function(fid, dim)
     shapes, recomputed = [], []
     evaluate, terms = f.evaluate_batch, f.terms
     f.evaluate_batch = lambda rows, rng=None: shapes.append(rows.shape) or evaluate(rows, rng)
     if terms is not None:
-        f.terms = lambda x: recomputed.append(x.size) or terms(x)
+        f.terms = lambda v, p: recomputed.append(v.size) or terms(v, p)
     rng = np.random.default_rng(5)
     slots = np.arange(dim)  # the engine's whole-string window
     for x in (f.initial_population(rng, 50), f.initial_population(rng, 50)):
         shapes.clear()
         recomputed.clear()
-        f.placement_cost(x, rng.random(50), slots)
+        baits = rng.random(50)
+        costs = f.placement_cost(x, baits, slots)
+        fresh = benchmark_function(fid, dim).placement_cost(x, baits, slots)
+        assert np.array_equal(costs.view(np.int64), fresh.view(np.int64))
         assert sum(rows for rows, _ in shapes) == 50 * dim
         assert max(rows * cols for rows, cols in shapes) <= max(TRIAL_BLOCK_ENTRIES, x.size)
-        # the terms of x once, then one bait term per row
+        # the terms of x once, then one bait value per row (f12 weighs it per slot)
         assert sum(recomputed) == (x.size + len(x) if terms is not None else 0)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 def test_rastrigin_scan_scores_only_its_own_block_from_terms(shift):
     # a wrapper that hands evaluate_batch a copy of the block, shifted or not,
-    # gets the copy's own values: only the scan's read-only block reads its terms
+    # gets the copy's own values: only the scan's read-only block gets its prices
     f, oracle = benchmark_function("f5", 30), benchmark_function("f5", 30)
     evaluate, writeable, expected = f.evaluate_batch, [], []
 
@@ -222,15 +242,18 @@ def test_rastrigin_scan_scores_only_its_own_block_from_terms(shift):
     want = np.concatenate(expected).reshape(30, 50).T
     assert np.array_equal(costs.view(np.int64), want.view(np.int64))
     if not shift:
+        # the fresh scan's prices: the same values to within rounding
         fresh = oracle.placement_cost(x, baits, slots)
-        assert np.array_equal(costs.view(np.int64), fresh.view(np.int64))
+        assert np.allclose(costs, fresh, rtol=1e-14, atol=0.0)
 
 
 def test_placement_cost_reads_rows_as_floats():
-    # integer rows once truncated the bait 0.4 to 0 and scored 13.0
+    # integer rows once truncated the bait 0.4 to 0 and scored 13.0; the slot
+    # rule prices 0.16 + (14 - 1) as 13.159999999999998 and the row as 13.16
     f = benchmark_function("f1", 3)
     baits, slots = np.array([0.51]), np.array([0])
-    want = f.evaluate_batch([[-20.0 + 0.51 * 40.0, 2.0, 3.0]])[0]
+    want = f.placement_cost(np.array([[1.0, 2.0, 3.0]]), baits, slots)[0, 0]
+    assert want == pytest.approx(f.evaluate_batch([[-20.0 + 0.51 * 40.0, 2.0, 3.0]])[0])
     assert want == pytest.approx(13.16)
     for x in (np.array([[1, 2, 3]]), [[1, 2, 3]], [1, 2, 3]):
         assert f.placement_cost(x, baits, slots)[0, 0] == want
@@ -253,6 +276,44 @@ def test_placement_cost_of_zero_rows_is_empty(fid):
     f = benchmark_function(fid, 30)
     costs = f.placement_cost(np.empty((0, 30)), np.empty(0), np.arange(4))
     assert costs.shape == (0, 4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("fid", ["f1", "f4", "f5", "f12"])
+def test_placement_cost_of_a_row_with_a_non_finite_total_is_its_trial_rows_value(fid):
+    # inf - inf would read NaN where the trial row, its inf replaced, is finite
+    f, oracle = benchmark_function(fid, 3), benchmark_function(fid, 3)
+    x = np.array([[np.inf, 1.0, 0.5], [0.2, np.nan, 1.0], [0.5, 0.25, 1e200], [1.0, 0.5, 0.25]])
+    baits, slots = np.array([0.5, 0.25, 0.75, 0.5]), np.arange(3)
+    costs = f.placement_cost(x, baits, slots)
+    for i, row in enumerate(x[:3]):
+        for p in slots:
+            trial = row.copy()
+            trial[p] = f.lo[p] + baits[i] * f.span[p]
+            want = oracle.evaluate_batch(trial)
+            assert np.array_equal(costs[i, p], want[0], equal_nan=True)
+    # the finite row keeps the rule, the one finite slot of each other row its value
+    assert np.all(np.isfinite(costs[3])) and np.all(np.isfinite(costs[[0, 1, 2], [0, 1, 2]]))
+
+
+def test_separable_values_are_pinned():
+    # evaluate_batch's bits on seeded rows, recorded at 6f47fbe, before these
+    # functions were written as row sums of their terms (numpy 2.4 on x86-64:
+    # f5 reads numpy's cos)
+    pins = {
+        "f1": "a2c87f3b3957befbeb930415fe061c38adad23326a5753248852081b2f599920",
+        "f4": "e39f77a0765ffd56c335bd42f1630b050fe03cf16fea25b597042efce61349e0",
+        "f5": "aaaf8f7b1115db6b021b090f2ca5506afd916580bb50954521f48466ce4100ed",
+        "f12": "42199263bfb755c2fcccd18ca751418d080b54a845b5f288521cccb71172e70e",
+    }
+    for fid, pin in pins.items():
+        digest = hashlib.sha256()
+        for dim in (1, 10, 30, 400):
+            f = benchmark_function(fid, dim)
+            x = f.initial_population(np.random.default_rng(35), 40)
+            digest.update(f.evaluate_batch(x).tobytes())
+            digest.update(f.evaluate_batch(x, rng=np.random.default_rng(1)).tobytes())
+        assert digest.hexdigest() == pin, fid
 
 
 def test_rastrigin_problem_pickles_without_scan_state():
